@@ -98,16 +98,68 @@ def pxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], lis
     return r0, s0, t0
 
 
-def ppowmod(a: list[int], e: int, mod: list[int], m: int) -> list[int]:
-    """a**e modulo the polynomial `mod` (unit leading coefficient) and the integer m."""
-    result = [1]
-    base = pdivmod(a, mod, m)[1]
-    while e:
-        if e & 1:
-            result = pdivmod(pmul(result, base, m), mod, m)[1]
-        base = pdivmod(pmul(base, base, m), mod, m)[1]
-        e >>= 1
-    return result
+class PolyModulus:
+    """Multiplication modulo a fixed polynomial `mod` of degree >= 1 (unit
+    leading coefficient) and the integer m, on Kronecker-packed integers.
+
+    A coefficient list packs into the integer sum of c_i * 2^(8*width*i), so
+    one integer product multiplies two polynomials.  The product's
+    coefficients at degrees j >= deg(mod) then fold back as multiples of the
+    packed x^j mod `mod`.  Slots of `width` bytes hold 2 * deg(mod) * m^2,
+    which bounds every coefficient sum of both steps, so no slot carries
+    into the next.
+    """
+
+    def __init__(self, mod: list[int], m: int):
+        self.m = m
+        self.mod = pmonic(pnorm(mod, m), m)
+        d = self.degree = len(self.mod) - 1
+        self.width = (2 * d * m * m).bit_length() // 8 + 1
+        self.low_bits = 8 * self.width * d
+        # x^j mod `mod` for d <= j <= 2d - 2, as dense lists of length d
+        self.folds = []
+        r = [-c % m for c in self.mod[:d]]
+        for _ in range(d - 1):
+            self.folds.append(self._pack(r))
+            top = r[-1]
+            r = [(x - top * c) % m for x, c in zip([0] + r[:-1], self.mod)]
+
+    def _pack(self, coeffs: list[int]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(self.width, "little") for c in coeffs), "little")
+
+    def _unpack(self, value: int, count: int) -> list[int]:
+        """`count` slots of a packed value, each reduced mod m."""
+        w, m = self.width, self.m
+        buf = value.to_bytes(count * w, "little")
+        return [int.from_bytes(buf[i : i + w], "little") % m for i in range(0, count * w, w)]
+
+    def _reduce(self, product: int) -> list[int]:
+        """The deg(mod) coefficients of the remainder of a packed product of
+        two reduced polynomials."""
+        d = self.degree
+        acc = product & ((1 << self.low_bits) - 1)
+        high = product >> self.low_bits
+        if high:
+            for c, fold in zip(self._unpack(high, d - 1), self.folds):
+                if c:
+                    acc += c * fold
+        return self._unpack(acc, d)
+
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        """a * b modulo `mod`, for a and b already reduced (degree below it)."""
+        return pnorm(self._reduce(self._pack(a) * self._pack(b)), self.m)
+
+    def pow(self, a: list[int], e: int) -> list[int]:
+        """a**e modulo `mod`, by square and multiply on packed values."""
+        result = self._pack([1])
+        base = self._pack(pdivmod(a, self.mod, self.m)[1])
+        while e:
+            if e & 1:
+                result = self._pack(self._reduce(result * base))
+            e >>= 1
+            if e:
+                base = self._pack(self._reduce(base * base))
+        return pnorm(self._unpack(result, self.degree), self.m)
 
 
 def peval(a: list[int], x: int, m: int) -> int:

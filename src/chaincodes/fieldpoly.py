@@ -5,6 +5,11 @@ Factorization of x^n - 1 is done by computing the minimal polynomial of each
 cyclotomic coset from a primitive n-th root of unity in F_{p^s}, where
 s is the multiplicative order of p mod n.  This keeps the factor <-> coset
 correspondence explicit, which the rest of the library relies on.
+
+Every step is deterministic: F_{p^s} is built on the first irreducible in
+encoding order (found with Ben-Or's test), and the root of unity comes from
+its smallest multiplicative generator, found after factoring the group
+order p^s - 1 as the product of the cyclotomic values Phi_d(p), d | s.
 """
 
 from __future__ import annotations
@@ -15,13 +20,13 @@ from functools import lru_cache
 from math import gcd
 
 from ._modpoly import (
+    PolyModulus,
     padd,
     pdivmod,
     pgcd,
     pmonic,
     pmul,
     pnorm,
-    ppowmod,
     psub,
 )
 from .ring import is_prime
@@ -175,31 +180,65 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def _known_prime(n: int) -> bool:
+    """A prime inside the range where is_prime is exact."""
+    return n < 2**63 and is_prime(n)
+
+
+def _unit_group_primes(p: int, s: int) -> list[int]:
+    """Distinct prime divisors of p^s - 1, ascending.
+
+    p^s - 1 is the product of the cyclotomic values Phi_d(p) over d | s, and
+    a prime dividing Phi_d(p) either divides d or is 1 mod d, so trial
+    division of each Phi_d(p) steps through 1 mod d.  It stops early once
+    the cofactor left is a prime in the exact range of is_prime.
+    """
+    divisors = [d for d in range(1, s + 1) if s % d == 0]
+    phi: dict[int, int] = {}
+    primes: set[int] = set()
+    for d in divisors:
+        value = p**d - 1
+        for k in divisors:
+            if k < d and d % k == 0:
+                value //= phi[k]
+        phi[d] = value
+        prime_left = _known_prime(value)
+        for c in itertools.chain(prime_factors(d), itertools.count(d + 1, d)):
+            if prime_left or c * c > value:
+                break
+            if value % c == 0:
+                primes.add(c)
+                while value % c == 0:
+                    value //= c
+                prime_left = _known_prime(value)
+        if value > 1:
+            primes.add(value)
+    return sorted(primes)
+
+
 def is_irreducible(poly: FqPoly) -> bool:
-    """Rabin irreducibility test over F_p."""
+    """Ben-Or irreducibility test over F_p: a polynomial h of degree s is
+    irreducible iff gcd(x^(p^i) - x, h) = 1 for every i <= s/2, that is,
+    iff it has no irreducible factor of degree <= s/2."""
     p = poly.p
     h = list(poly.coeffs)
     s = len(h) - 1
     if s <= 0:
         return False
+    ring = PolyModulus(h, p)
     x = [0, 1]
-
-    def frobenius_power(e: int) -> list[int]:
-        r = pdivmod(x, h, p)[1]
-        for _ in range(e):
-            r = ppowmod(r, p, h, p)
-        return r
-
-    if psub(frobenius_power(s), x, p):
-        return False
-    for d in prime_factors(s):
-        if pgcd(psub(frobenius_power(s // d), x, p), h, p) != [1]:
+    r = x
+    for _ in range(s // 2):
+        # r = x^(p^i) mod h
+        r = ring.pow(r, p)
+        if pgcd(psub(r, x, p), h, p) != [1]:
             return False
     return True
 
 
 def find_irreducible(p: int, s: int) -> FqPoly:
-    """First monic irreducible of degree s, scanning constant-first encodings."""
+    """First monic irreducible of degree s over F_p, scanning the lower
+    coefficients in constant-first base-p encoding order."""
     if s == 1:
         return FqPoly(p, (0, 1))
     for code in range(p**s):
@@ -213,20 +252,14 @@ def find_irreducible(p: int, s: int) -> FqPoly:
     raise AssertionError(f"no irreducible of degree {s} over F_{p}")
 
 
-class _ExtField:
+class _ExtField(PolyModulus):
     """Arithmetic in F_{p^s} as F_p[y]/(h); elements are coefficient lists."""
 
     def __init__(self, p: int, s: int):
+        super().__init__(list(find_irreducible(p, s).coeffs), p)
         self.p = p
         self.s = s
-        self.modulus = list(find_irreducible(p, s).coeffs)
         self.order = p**s - 1
-
-    def mul(self, a: list[int], b: list[int]) -> list[int]:
-        return pdivmod(pmul(a, b, self.p), self.modulus, self.p)[1]
-
-    def pow(self, a: list[int], e: int) -> list[int]:
-        return ppowmod(a, e, self.modulus, self.p)
 
     def element(self, code: int) -> list[int]:
         coeffs = []
@@ -236,13 +269,38 @@ class _ExtField:
         return pnorm(coeffs, self.p)
 
     def generator(self) -> list[int]:
-        """Smallest multiplicative generator in encoding order."""
-        checks = [self.order // r for r in prime_factors(self.order)]
-        for code in range(1, self.order + 1):
+        """Smallest multiplicative generator in encoding order.  For s > 1
+        the nonzero constants (encodings below p) lie in F_p^* and cannot
+        generate, so the scan starts at encoding p."""
+        checks = [self.order // r for r in _unit_group_primes(self.p, self.s)]
+        for code in range(1 if self.s == 1 else self.p, self.order + 1):
             cand = self.element(code)
             if all(self.pow(cand, e) != [1] for e in checks):
                 return cand
         raise AssertionError("no generator found")
+
+
+def _minimal_polynomial(powers: list[list[int]], s: int, p: int) -> list[int]:
+    """Monic minimal polynomial over F_p of an element a of F_{p^s}, given
+    the coordinates of 1, a, ..., a^d where d is the degree of a: row
+    reduction finds the linear dependency that a^d closes."""
+    d = len(powers) - 1
+    rows: list[tuple[int, list[int]]] = []
+    for k, power in enumerate(powers):
+        # the coordinates of a combination of powers, then its coefficients
+        row = power + [0] * (s - len(power)) + [int(j == k) for j in range(d + 1)]
+        for pivot, basis in rows:
+            c = row[pivot]
+            if c:
+                row = [(x - c * y) % p for x, y in zip(row, basis)]
+        pivot = next((j for j in range(s) if row[j]), None)
+        if pivot is None:
+            if k != d:
+                raise AssertionError(f"degree {k} differs from the coset size {d}")
+            return row[s:]
+        inv = pow(row[pivot], -1, p)
+        rows.append((pivot, [x * inv % p for x in row]))
+    raise AssertionError(f"no dependency among the first {d + 1} powers")
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +315,8 @@ def factor_xn_minus_1(n: int, p: int) -> tuple[FqPoly, ...]:
 
     The factor for coset Cl(i) is the minimal polynomial of z^i, where z is
     the fixed primitive n-th root of unity g**((p^s - 1)/n) for the smallest
-    multiplicative generator g of F_{p^s}.
+    multiplicative generator g of F_{p^s}.  It is read off the first linear
+    dependency among the powers of z^i, which are all powers of z.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -270,22 +329,13 @@ def factor_xn_minus_1(n: int, p: int) -> tuple[FqPoly, ...]:
     s = ord_mod(n, p)
     ext = _ext_field(p, s)
     zeta = ext.pow(ext.generator(), ext.order // n)
+    powers = [[1]]
+    for _ in range(n - 1):
+        powers.append(ext.mul(powers[-1], zeta))
     factors = []
     for coset in _orbits(n, p):
-        # product of (x - zeta^i) over the coset, coefficients in F_{p^s}
-        poly: list[list[int]] = [[1]]
-        for i in coset:
-            root = ext.pow(zeta, i)
-            nxt: list[list[int]] = [[] for _ in range(len(poly) + 1)]
-            for k, c in enumerate(poly):
-                nxt[k + 1] = padd(nxt[k + 1], c, p)
-                nxt[k] = psub(nxt[k], ext.mul(root, c), p)
-            poly = nxt
-        coeffs = []
-        for c in poly:
-            if len(c) > 1:
-                raise AssertionError("minimal polynomial left the base field")
-            coeffs.append(c[0] if c else 0)
+        i = coset[0]
+        coeffs = _minimal_polynomial([powers[i * k % n] for k in range(len(coset) + 1)], s, p)
         factors.append(FqPoly(p, tuple(coeffs)))
     return tuple(factors)
 

@@ -89,10 +89,6 @@ class RingSpec:
             j += 1
         return j
 
-    def units(self) -> list[int]:
-        """All units, ascending.  Intended for desk-scale moduli."""
-        return [u for u in range(1, self.modulus) if u % self.p != 0]
-
     def element(self, value: int) -> "RElem":
         return RElem(self.normalize(value), self)
 

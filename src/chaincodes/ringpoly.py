@@ -18,7 +18,7 @@ from ._modpoly import (
     psub,
     pxgcd,
 )
-from .fieldpoly import FqPoly, factor_xn_minus_1
+from .fieldpoly import FqPoly, factor_xn_minus_1, prime_factors
 from .ring import MismatchedRing, NotAUnit, RElem, RingSpec
 
 
@@ -188,21 +188,18 @@ def hensel_lift_factorization(
     product = FqPoly(p, (1,))
     for f in factors:
         product = product * f
+    # x^n - 1 is squarefree over F_p because p does not divide n, so factors
+    # that multiply to it are pairwise coprime
     if list(product.coeffs) != pnorm([-1] + [0] * (n - 1) + [1], p):
         raise LiftError("factors do not multiply to x^n - 1 over F_p")
-    for i, f in enumerate(factors):
-        for g in factors[i + 1 :]:
-            if f.gcd(g).coeffs != (1,):
-                raise LiftError("factors are not pairwise coprime")
 
     lifted: list[RPoly] = []
     remaining = RPoly.xn_minus_1(spec, n)
-    pending = [list(f.coeffs) for f in factors]
-    while len(pending) > 1:
-        gbar = pending.pop(0)
-        hbar = [1]
-        for f in pending:
-            hbar = pmul(hbar, f, p)
+    for f in factors[:-1]:
+        gbar = list(f.coeffs)
+        # remaining is congruent mod p to the product of the factors not yet
+        # peeled, so dividing by gbar leaves the product of the others
+        hbar = pdivmod(pnorm(list(remaining.coeffs), p), gbar, p)[0]
         one, s_co, t_co = pxgcd(gbar, hbar, p)
         if one != [1]:
             raise LiftError("factors are not pairwise coprime")
@@ -270,10 +267,28 @@ def primitive_root_of_unity(order: int, spec: RingSpec) -> RElem:
 
 
 def nth_roots_of_unity(n: int, spec: RingSpec) -> list[RElem]:
-    """All units lam with lam**n = 1, ascending.  Desk-scale brute force."""
-    m = spec.modulus
-    return [
-        spec.element(u)
-        for u in range(1, m)
-        if u % spec.p != 0 and pow(u, n, m) == 1
-    ]
+    """All units lam with lam**n = 1, ascending.
+
+    When gcd(n, p) = 1 the roots form a cyclic group of order
+    g = gcd(n, p - 1): for odd p they are the powers of the Teichmueller
+    lift of an element of order g in F_p, and for p = 2 only 1 is left.
+    Other n fall back to a scan of all p^e residues."""
+    p, m = spec.p, spec.modulus
+    if gcd(n, p) != 1:
+        return [
+            spec.element(u)
+            for u in range(1, m)
+            if u % p != 0 and pow(u, n, m) == 1
+        ]
+    g = gcd(n, p - 1)
+    checks = [g // q for q in prime_factors(g)]
+    for c in range(1, p):
+        r = pow(c, (p - 1) // g, p)
+        if all(pow(r, k, p) != 1 for k in checks):
+            break
+    zeta = _newton_lift_root(r, g, spec)
+    roots, power = [], 1
+    for _ in range(g):
+        roots.append(power)
+        power = power * zeta % m
+    return [spec.element(u) for u in sorted(roots)]

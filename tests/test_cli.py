@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import chaincodes
 from chaincodes.cli import main
 from chaincodes.code import CyclicCode
 from chaincodes.ring import RingSpec
@@ -220,3 +226,34 @@ def test_search_empty_range(tmp_path, capsys):
                    "--out", str(out_file))
     assert rc == 0
     assert out_file.read_text() == ""
+
+
+def _run_bounded(seconds, *argv):
+    """Run the CLI in a fresh interpreter (cold caches) within a wall-clock bound."""
+    env = {**os.environ, "PYTHONPATH": str(Path(chaincodes.__file__).resolve().parents[1])}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "chaincodes", *argv],
+        env=env, capture_output=True, text=True, timeout=seconds,
+    )
+    return proc, time.monotonic() - start
+
+
+@pytest.mark.parametrize("p, n", [(2, 83), (3, 79)])
+def test_factor_high_order_length_is_bounded(p, n):
+    # ord_n(p) is 82 and 78.  Plain trial division of 2^82 - 1 runs past 20 s
+    # (its two largest primes are near 1e8 and 1e10), and 3^78 - 1 has twelve
+    # primes, each one exponentiation in F_{3^78} per generator candidate.
+    proc, elapsed = _run_bounded(10, "factor", "--p", str(p), "--e", "2", "--n", str(n), "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 10
+    doc = json.loads(proc.stdout)
+    assert sum(len(f["lifted"]) - 1 for f in doc["factors"]) == n
+
+
+def test_construct_large_ring_verify_is_bounded():
+    # the certificates scale by the n-th roots of unity of Z_{1009^3}; a scan
+    # of all 1.03e9 residues ran past 20 s
+    proc, elapsed = _run_bounded(5, "construct", "thm42", "--p", "1009", "--e", "3", "--m", "5", "--verify")
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 5
