@@ -161,10 +161,3 @@ class PolyModulus:
                 base = self._pack(self._reduce(base * base))
         return pnorm(self._unpack(result, self.degree), self.m)
 
-
-def peval(a: list[int], x: int, m: int) -> int:
-    """Evaluate at x mod m (Horner)."""
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % m
-    return acc

@@ -134,8 +134,9 @@ def build_construction(
         if (g1_text is None) != (g2_text is None):
             raise ValueError("provide both --g1 and --g2, or neither")
         if g1_text is not None:
-            g1 = RPoly(spec, tuple(poly_from_text(g1_text, spec.modulus)))
-            g2 = RPoly(spec, tuple(poly_from_text(g2_text, spec.modulus)))
+            # g1 and g2 divide x^m - 1 properly, so neither has degree m or more
+            g1 = RPoly(spec, tuple(poly_from_text(g1_text, spec.modulus, max_degree=m - 1)))
+            g2 = RPoly(spec, tuple(poly_from_text(g2_text, spec.modulus, max_degree=m - 1)))
         else:
             g1, g2 = duadic_pair(m, spec, _pick_splitting(m, spec.p, splitting_index))
         return thm44_isodual(m, a, spec, g1, g2)

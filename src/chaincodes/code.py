@@ -11,6 +11,7 @@ self-duality and isoduality checks exact and cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Optional
 
 from .ring import MismatchedRing, RElem, RingSpec
@@ -219,29 +220,16 @@ class CyclicCode:
                 return False
         return True
 
-    def size_bound_ok(self, limit: int) -> bool:
-        return self.spec.p ** self.cardinality_log() <= limit
-
     def codewords(self, limit: int = 2_000_000) -> Iterator[Codeword]:
-        """Every codeword exactly once: all mixed-radix combinations of the
-        generator rows."""
-        import itertools
+        """Every codeword exactly once, in the mixed-radix order of the
+        generator rows, converted one enumerator block at a time."""
+        from .exhaustive import _OBJECT_BLOCK, codeword_blocks  # exhaustive imports code
 
-        if not self.size_bound_ok(limit):
+        total = self.spec.p ** self.cardinality_log()
+        if total > limit:
             raise TooLarge(f"|C| = {self.spec.p}^{self.cardinality_log()} exceeds {limit}")
-        rows = self.generator_matrix()
-        radices = self.row_radices()
-        m = self.spec.modulus
-        if not rows:
-            yield Codeword(self.spec, (0,) * self.n)
-            return
-        for combo in itertools.product(*(range(r) for r in radices)):
-            entries = [0] * self.n
-            for c, row in zip(combo, rows):
-                if c:
-                    for k in range(self.n):
-                        entries[k] = (entries[k] + c * row[k]) % m
-            yield Codeword(self.spec, tuple(entries))
+        for block in codeword_blocks(self, _OBJECT_BLOCK):
+            yield from map(Codeword, repeat(self.spec), map(tuple, block.tolist()))
 
     # -- duality ------------------------------------------------------------
 
@@ -336,46 +324,3 @@ def _search_maps(
                 return IsodualCertificate(a=a, lam=lam.value)
     return None
 
-
-def dual(c: CyclicCode) -> CyclicCode:
-    return c.dual()
-
-
-def cardinality_log(c: CyclicCode) -> int:
-    return c.cardinality_log()
-
-
-def generator_matrix(c: CyclicCode) -> list[list[int]]:
-    return c.generator_matrix()
-
-
-def contains(c: CyclicCode, w: Codeword) -> bool:
-    return c.contains(w)
-
-
-def enumerate_codewords(c: CyclicCode, limit: int = 2_000_000) -> Iterator[Codeword]:
-    return c.codewords(limit)
-
-
-def apply_scaling(c: CyclicCode, lam: RElem) -> CyclicCode:
-    return c.apply_scaling(lam)
-
-
-def apply_multiplier(c: CyclicCode, a: int) -> CyclicCode:
-    return c.apply_multiplier(a)
-
-
-def is_self_dual(c: CyclicCode) -> bool:
-    return c.is_self_dual()
-
-
-def certify_isodual(c: CyclicCode) -> Optional[IsodualCertificate]:
-    return c.certify_isodual()
-
-
-def from_generator(g: RPoly, n: int) -> CyclicCode:
-    return CyclicCode.from_generator(g, n)
-
-
-def from_two_stage(g_free: RPoly, g_torsion: RPoly, j: int, n: int) -> CyclicCode:
-    return CyclicCode.from_two_stage(g_free, g_torsion, j, n)

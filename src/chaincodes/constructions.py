@@ -21,6 +21,7 @@ from .ringpoly import (
     primitive_root_of_unity,
     substitute_scaled,
 )
+from .serialize import ring_to_json, splitting_to_json
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def thm42_isodual(m: int, a: int, spec: RingSpec) -> ConstructionResult:
     g1 = _half_degree_generator(-1, odd_parts, spec, n)
     g2 = _half_degree_generator(+1, even_parts, spec, n)
     params = {
-        "ring": {"p": spec.p, "e": spec.e},
+        "ring": ring_to_json(spec),
         "m": m,
         "a": a,
         "n": n,
@@ -152,7 +153,7 @@ def thm44_isodual(
     n = 2**a * m
     alpha = primitive_root_of_unity(2**a, spec)
     params = {
-        "ring": {"p": spec.p, "e": spec.e},
+        "ring": ring_to_json(spec),
         "m": m,
         "a": a,
         "n": n,
@@ -227,10 +228,10 @@ def duadic_lift(m: int, spec: RingSpec, splitting: Splitting) -> ConstructionRes
     else:
         notes.append("two-stage codes omitted: nilpotency index is odd")
     params = {
-        "ring": {"p": spec.p, "e": spec.e},
+        "ring": ring_to_json(spec),
         "m": m,
         "n": m,
-        "splitting": _splitting_params(splitting),
+        "splitting": splitting_to_json(splitting),
         "notes": notes,
     }
     return ConstructionResult(kind="duadic", params=params, codes=codes)
@@ -281,25 +282,14 @@ def thm510_isodual(
                 )
             )
     params = {
-        "ring": {"p": spec.p, "e": spec.e},
+        "ring": ring_to_json(spec),
         "m": m,
         "a": a,
         "n": n,
         "alpha": alpha.value,
-        "splitting": _splitting_params(splitting),
+        "splitting": splitting_to_json(splitting),
     }
     return ConstructionResult(kind="thm510", params=params, codes=codes)
-
-
-def _splitting_params(splitting: Splitting) -> dict:
-    return {
-        "m": splitting.m,
-        "q": splitting.q,
-        "s1": list(splitting.s1),
-        "s2": list(splitting.s2),
-        "a": splitting.a,
-        "mu_minus1": "swaps" if splitting.given_by_mu_minus1 else "fixes",
-    }
 
 
 # ---------------------------------------------------------------------------

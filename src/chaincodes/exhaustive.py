@@ -11,6 +11,8 @@ suite re-validates against direct enumeration on every small instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -19,6 +21,10 @@ from .code import Codeword, CyclicCode, TooLarge, ZeroCode
 DEFAULT_BUDGET = 2_000_000
 
 _BLOCK = 1 << 16
+
+# Words turned into Codeword objects per step: few, so that the arrays and
+# nested lists they pass through stay small next to the objects themselves.
+_OBJECT_BLOCK = 1 << 10
 
 
 class BudgetExceeded(ValueError):
@@ -46,9 +52,23 @@ def _digit_block(start: int, count: int, radices: list[int]) -> np.ndarray:
     return digits
 
 
-def _check_numpy_safe(modulus: int, terms: int) -> None:
-    if terms * (modulus - 1) ** 2 >= 2**62:
+def _check_numpy_safe(modulus: int, radices: list[int]) -> None:
+    """Each entry of digits @ rows is at most sum(radix - 1) * (modulus - 1);
+    refuse work where that sum could overflow int64."""
+    if sum(r - 1 for r in radices) * (modulus - 1) >= 2**63:
         raise TooLarge("modulus too large for the vectorized enumeration engine")
+
+
+def codeword_blocks(code: CyclicCode, size: int = _BLOCK) -> Iterator[np.ndarray]:
+    """Every codeword once, in mixed-radix order over the generator rows, as
+    int64 arrays of at most `size` rows.  This is the one direct enumerator."""
+    rows = np.array(code.generator_matrix(), dtype=np.int64).reshape(-1, code.n)
+    radices = code.row_radices()
+    _check_numpy_safe(code.spec.modulus, radices)
+    total = code.spec.p ** code.cardinality_log()
+    for start in range(0, total, size):
+        digits = _digit_block(start, min(size, total - start), radices)
+        yield (digits @ rows) % code.spec.modulus
 
 
 def enumerate_matrix(code: CyclicCode, limit: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -56,34 +76,23 @@ def enumerate_matrix(code: CyclicCode, limit: int = DEFAULT_BUDGET) -> np.ndarra
     total = code.spec.p ** code.cardinality_log()
     if total > limit:
         raise TooLarge(f"|C| = {total} exceeds {limit}")
-    rows = np.array(code.generator_matrix(), dtype=np.int64).reshape(-1, code.n)
-    radices = code.row_radices()
-    _check_numpy_safe(code.spec.modulus, max(1, len(radices)))
-    if not radices:
-        return np.zeros((1, code.n), dtype=np.int64)
-    digits = _digit_block(0, total, radices)
-    return (digits @ rows) % code.spec.modulus
+    return np.concatenate(list(codeword_blocks(code)))
 
 
 def min_weight_direct(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
-    """Minimum weight by full enumeration of the code."""
+    """Minimum weight by full enumeration of the code.  The budget is checked
+    after each whole block, so an overrun counts the whole block it ends in."""
     if code.is_zero_code():
         raise ZeroCode("the zero code has no nonzero codeword")
-    rows = np.array(code.generator_matrix(), dtype=np.int64).reshape(-1, code.n)
-    radices = code.row_radices()
-    _check_numpy_safe(code.spec.modulus, len(radices))
     total = code.spec.p ** code.cardinality_log()
     best = code.n + 1
     scanned = 0
-    for start in range(0, min(total, budget + 1), _BLOCK):
-        count = min(_BLOCK, total - start)
-        digits = _digit_block(start, count, radices)
-        words = (digits @ rows) % code.spec.modulus
+    for words in codeword_blocks(code):
         weights = np.count_nonzero(words, axis=1)
-        if start == 0:
+        if scanned == 0:
             weights[0] = code.n + 1  # the zero word
         best = min(best, int(weights.min()))
-        scanned += count
+        scanned += len(words)
         if scanned > budget:
             raise BudgetExceeded(
                 f"direct enumeration of {total} words exceeds budget {budget}",
@@ -110,7 +119,7 @@ def min_weight_residue(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> Weight
     rows = np.zeros((k, n), dtype=np.int64)
     for r in range(k):
         rows[r, r : r + len(gbar)] = gbar
-    _check_numpy_safe(p, k)
+    _check_numpy_safe(p, [p] * k)
     total = (p**k - 1) // (p - 1)
     best = n + 1
     scanned = 0
@@ -233,22 +242,23 @@ def annihilator_vectors(code: CyclicCode, limit: int = 500_000) -> list[Codeword
     """The annihilator as explicit codewords; refuses to materialize more
     than `limit` vectors."""
     left, left_keys, right, right_keys = _half_tables(code)
-    total = annihilator_count(code)
-    if total > limit:
-        raise TooLarge(f"annihilator has {total} vectors, limit {limit}")
     order_l = np.argsort(left_keys, kind="stable")
     order_r = np.argsort(right_keys, kind="stable")
     sorted_l = left_keys[order_l]
     sorted_r = right_keys[order_r]
-    common = np.intersect1d(sorted_l, sorted_r)
-    out = []
-    for key in common:
-        lo_l, hi_l = np.searchsorted(sorted_l, [key, key + 1])
-        lo_r, hi_r = np.searchsorted(sorted_r, [key, key + 1])
-        for li in order_l[lo_l:hi_l]:
-            left_part = tuple(int(v) for v in left[li])
-            for ri in order_r[lo_r:hi_r]:
-                out.append(
-                    Codeword(code.spec, left_part + tuple(int(v) for v in right[ri]))
-                )
+    # each left vector, in key order, pairs with the run [lo, lo + count) of
+    # right vectors with its key
+    lo = np.searchsorted(sorted_r, sorted_l, side="left")
+    counts = np.searchsorted(sorted_r, sorted_l, side="right") - lo
+    total = int(counts.sum())
+    if total > limit:
+        raise TooLarge(f"annihilator has {total} vectors, limit {limit}")
+    left_idx = np.repeat(order_l, counts)
+    right_pos = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    right_idx = order_r[right_pos]
+    out: list[Codeword] = []
+    for start in range(0, total, _OBJECT_BLOCK):
+        block = slice(start, start + _OBJECT_BLOCK)
+        words = np.hstack((left[left_idx[block]], right[right_idx[block]]))
+        out.extend(map(Codeword, repeat(code.spec), map(tuple, words.tolist())))
     return out

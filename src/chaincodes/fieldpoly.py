@@ -86,18 +86,6 @@ class FqPoly:
         return poly_to_text(list(self.coeffs))
 
 
-def fq_mul(a: FqPoly, b: FqPoly) -> FqPoly:
-    return a * b
-
-
-def fq_divmod(a: FqPoly, b: FqPoly) -> tuple[FqPoly, FqPoly]:
-    return a.divmod(b)
-
-
-def fq_gcd(a: FqPoly, b: FqPoly) -> FqPoly:
-    return a.gcd(b)
-
-
 def ord_mod(n: int, q: int) -> int:
     """Smallest l >= 1 with q**l = 1 mod n."""
     if n == 1:

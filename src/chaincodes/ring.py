@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 _MAX_MODULUS = 2**63 - 1
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
+# Miller-Rabin witnesses: the first 12 primes.  They are exact below
+# psi_12 = 318665857834031151167461 (~3.2e23), the least strong pseudoprime to
+# all of them (is_prime calls it prime); callers rely on is_prime below 2**63.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -132,26 +134,3 @@ class RElem:
     def __str__(self) -> str:
         return str(self.value)
 
-
-def add(a: RElem, b: RElem) -> RElem:
-    return a + b
-
-
-def sub(a: RElem, b: RElem) -> RElem:
-    return a - b
-
-
-def mul(a: RElem, b: RElem) -> RElem:
-    return a * b
-
-
-def is_unit(a: RElem) -> bool:
-    return a.spec.is_unit(a.value)
-
-
-def inverse(a: RElem) -> RElem:
-    return RElem(a.spec.inverse(a.value), a.spec)
-
-
-def gamma_valuation(a: RElem) -> int:
-    return a.spec.valuation(a.value)

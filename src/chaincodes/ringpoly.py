@@ -116,14 +116,6 @@ class RPoly:
         return cls(spec, tuple([spec.modulus - 1] + [0] * (n - 1) + [1]))
 
 
-def r_mul(a: RPoly, b: RPoly) -> RPoly:
-    return a * b
-
-
-def r_divmod_monic(a: RPoly, b: RPoly) -> tuple[RPoly, RPoly]:
-    return a.divmod_monic(b)
-
-
 def reciprocal(f: RPoly) -> RPoly:
     """Monic reciprocal: reverse the coefficients and scale by the inverse of
     the constant term.  Requires a unit constant term; the result is monic of

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import re
 
+from . import constructions  # the module, not its names: it imports this one
 from .code import CyclicCode
-from .constructions import ConstructedCode, ConstructionResult
 from .fieldpoly import FqPoly, Splitting
 from .ring import RingSpec
 from .ringpoly import RPoly
@@ -104,7 +104,7 @@ def code_from_json(data: dict) -> CyclicCode:
         raise SchemaError(f"bad cyclic code payload: {exc}") from exc
 
 
-def result_to_json(result: ConstructionResult, reports: dict[str, dict] | None = None) -> dict:
+def result_to_json(result: constructions.ConstructionResult, reports: dict[str, dict] | None = None) -> dict:
     codes = []
     for entry in result.codes:
         item: dict = {
@@ -118,17 +118,17 @@ def result_to_json(result: ConstructionResult, reports: dict[str, dict] | None =
     return {"kind": result.kind, "params": result.params, "codes": codes}
 
 
-def result_from_json(data: dict) -> ConstructionResult:
+def result_from_json(data: dict) -> constructions.ConstructionResult:
     try:
         codes = [
-            ConstructedCode(
+            constructions.ConstructedCode(
                 str(item["label"]),
                 code_from_json(item["code"]),
                 tuple(str(c) for c in item.get("claims", ())),
             )
             for item in data["codes"]
         ]
-        return ConstructionResult(
+        return constructions.ConstructionResult(
             kind=str(data["kind"]), params=dict(data["params"]), codes=codes
         )
     except SchemaError:
@@ -161,9 +161,10 @@ def poly_to_text(coeffs: list[int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def poly_from_text(text: str, modulus: int) -> list[int]:
+def poly_from_text(text: str, modulus: int, max_degree: int | None = None) -> list[int]:
     """Parse descending or mixed-order text with + and - signs; coefficients
-    are reduced to canonical representatives mod `modulus`."""
+    are reduced to canonical representatives mod `modulus`.  A term of degree
+    above `max_degree` is rejected before any coefficient list is built."""
     compact = text.replace(" ", "").replace("*", "")
     if not compact:
         raise SchemaError("empty polynomial text")
@@ -190,6 +191,8 @@ def poly_from_text(text: str, modulus: int) -> list[int]:
             power = 1
         else:
             power = int(match.group(3))
+        if max_degree is not None and power > max_degree:
+            raise SchemaError(f"term {raw!r} has degree above {max_degree}")
         coeffs[power] = coeffs.get(power, 0) + sign * coeff
     out = [0] * (max(coeffs) + 1)
     for power, value in coeffs.items():

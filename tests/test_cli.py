@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import chaincodes
-from chaincodes.cli import main
+from chaincodes.cli import build_construction, main
 from chaincodes.code import CyclicCode
 from chaincodes.ring import RingSpec
 from chaincodes.ringpoly import RPoly
@@ -158,6 +158,27 @@ def test_weight_budget_exceeded(tmp_path, capsys):
     assert doc["upper_bound"] >= 4
 
 
+def test_weight_budget_exceeded_counts_whole_blocks(tmp_path, capsys):
+    # direct enumeration checks its budget after each block of 65536 words,
+    # so an overrun reports every word of the block it ends in
+    result = build_construction("duadic", Z9, 11, 1)
+    codes = {entry.label: entry.code for entry in result.codes}
+    path = tmp_path / "code.json"
+    for label in ("D'_1", "E_1"):
+        path.write_text(json.dumps(code_to_json(codes[label])))
+        for budget, enumerated in ((100, 65536), (70000, 131072)):
+            rc, out, _ = run(
+                capsys, "weight", str(path), "--strategy", "direct", "--budget", str(budget), "--json"
+            )
+            assert rc == 4
+            assert json.loads(out) == {
+                "enumerated": enumerated,
+                "status": "budget_exceeded",
+                "upper_bound": 5,
+                "weight": None,
+            }, (label, budget)
+
+
 def test_weight_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\"ring\": {\"p\": 3}}")
@@ -257,3 +278,15 @@ def test_construct_large_ring_verify_is_bounded():
     proc, elapsed = _run_bounded(5, "construct", "thm42", "--p", "1009", "--e", "3", "--m", "5", "--verify")
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 5
+
+
+def test_construct_thm44_rejects_high_degree_text():
+    # g1 and g2 divide x^m - 1, so a term of degree m or more is invalid input;
+    # the parser used to build a coefficient list as long as the degree
+    proc, elapsed = _run_bounded(
+        10, "construct", "thm44", "--p", "5", "--e", "2", "--m", "11",
+        "--g1", "x^1000000000000", "--g2", "x+1",
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "degree above 10" in proc.stderr
+    assert elapsed < 10

@@ -167,6 +167,16 @@ def test_enumerate_zero_code():
     assert words == [Codeword(Z9, (0, 0, 0, 0))]
 
 
+def test_enumerate_two_words_over_z_2_40():
+    # p^(e-1) * (x^3 - 1)/(x - 1) has two words; its entries need 40 bits
+    spec = RingSpec(2, 40)
+    factors = [lifted for _, _, lifted in lifted_factorization(3, spec)]
+    one = RPoly.one(spec)
+    code = CyclicCode(spec, 3, (factors[1],) + (one,) * 39 + (factors[0],))
+    words = {w.entries for w in code.codewords()}
+    assert words == {(0, 0, 0), (2**39, 2**39, 2**39)}
+
+
 def test_enumerate_guard():
     code = CyclicCode.whole_space(Z9, 8)
     with pytest.raises(TooLarge):

@@ -23,7 +23,7 @@ from chaincodes.fieldpoly import (
     is_irreducible,
     ord_mod,
 )
-from chaincodes.ring import RingSpec
+from chaincodes.ring import RingSpec, is_prime
 from chaincodes.ringpoly import lifted_factorization, nth_roots_of_unity
 
 GOLDEN_DIGEST = "ed2aa249fe932be61f9b0e7d27474767b111dd4d2f652442a7c65a5b53db5261"
@@ -71,6 +71,16 @@ def test_unit_group_primes_match_sympy():
     assert len(pairs) == 128
     for p, s in pairs:
         assert _unit_group_primes(p, s) == sympy.primefactors(p**s - 1), (p, s)
+
+
+def test_is_prime_matches_sympy_on_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first k prime bases, k = 1..11
+    # (all below 2**63): _unit_group_primes trusts is_prime on every cofactor
+    # below 2**63
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert n < 2**63
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def _monic_polys(p: int, degree: int):

@@ -8,9 +8,6 @@ from chaincodes.fieldpoly import (
     cyclotomic_cosets,
     factor_xn_minus_1,
     find_splittings,
-    fq_divmod,
-    fq_gcd,
-    fq_mul,
     is_irreducible,
     is_quadratic_residue,
     ord_mod,
@@ -23,23 +20,23 @@ def f3(*coeffs):
 
 def test_mul_example():
     # (x - 1)(x + 1) = x^2 + 2 over F_3
-    assert fq_mul(f3(2, 1), f3(1, 1)) == f3(2, 0, 1)
+    assert f3(2, 1) * f3(1, 1) == f3(2, 0, 1)
 
 
 def test_gcd_example():
-    assert fq_gcd(f3(2, 0, 1), f3(2, 1)) == f3(2, 1)
+    assert f3(2, 0, 1).gcd(f3(2, 1)) == f3(2, 1)
 
 
 def test_divmod_example():
     # x^3 + 2 = (x + 2)(x^2 + x + 1) over F_3
-    q, r = fq_divmod(f3(2, 0, 0, 1), f3(2, 1))
+    q, r = f3(2, 0, 0, 1).divmod(f3(2, 1))
     assert q == f3(1, 1, 1)
     assert r.is_zero()
 
 
 def test_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
-        fq_divmod(f3(1, 1), f3())
+        f3(1, 1).divmod(f3())
 
 
 def test_ord_mod():

@@ -15,8 +15,6 @@ from chaincodes.ringpoly import (
     multiplier_mod,
     nth_roots_of_unity,
     primitive_root_of_unity,
-    r_divmod_monic,
-    r_mul,
     reciprocal,
     substitute_scaled,
 )
@@ -36,19 +34,19 @@ G2_Z9 = z9(8, 6, 1, 8, 7, 1)  # x^5 + 7x^4 + 8x^3 + x^2 + 6x + 8
 
 
 def test_mul_telescoping():
-    assert r_mul(z9(8, 1), z9(1, 1, 1, 1, 1)) == z9(8, 0, 0, 0, 0, 1)
+    assert z9(8, 1) * z9(1, 1, 1, 1, 1) == z9(8, 0, 0, 0, 0, 1)
 
 
 def test_divmod_monic():
     whole = RPoly.xn_minus_1(Z9, 11)
-    q, r = r_divmod_monic(whole, z9(8, 1))
+    q, r = whole.divmod_monic(z9(8, 1))
     assert q == z9(*([1] * 11))
     assert r.is_zero()
 
 
 def test_divmod_requires_monic():
     with pytest.raises(ValueError):
-        r_divmod_monic(z9(1, 1), z9(1, 3))
+        z9(1, 1).divmod_monic(z9(1, 3))
 
 
 def test_factorization_product_over_z9():

@@ -112,3 +112,6 @@ def test_poly_text_errors():
         poly_from_text("3 + + x", 9)
     with pytest.raises(SchemaError):
         poly_from_text("y^2", 9)
+    with pytest.raises(SchemaError):
+        poly_from_text("x^5 - x^5 + 1", 9, max_degree=4)
+    assert poly_from_text("x^4 + 1", 9, max_degree=4) == [1, 0, 0, 0, 1]
