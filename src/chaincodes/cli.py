@@ -213,8 +213,8 @@ def cmd_weight(args: argparse.Namespace) -> int:
             print(_dump(doc))
         else:
             print(
-                f"minimum weight <= {exc.upper_bound} "
-                f"(UPPER BOUND ONLY: budget exceeded after {exc.enumerated} words)"
+                f"{exc.lower_bound} <= minimum weight <= {exc.upper_bound} "
+                f"(BOUNDS ONLY: budget exceeded after {exc.enumerated} words)"
             )
         return EXIT_BUDGET
     doc = {

@@ -55,6 +55,15 @@ class Codeword:
         return sum(1 for v in self.entries if v)
 
 
+def _canonical_codeword(spec: RingSpec, entries: tuple[int, ...]) -> Codeword:
+    """A Codeword from entries already in [0, p^e), skipping the reduction of
+    __post_init__; for the enumerators, whose words are reduced in numpy."""
+    word = object.__new__(Codeword)
+    object.__setattr__(word, "spec", spec)
+    object.__setattr__(word, "entries", entries)
+    return word
+
+
 def inner_product(v: Codeword, w: Codeword) -> int:
     if v.spec != w.spec:
         raise MismatchedRing(f"{v.spec} vs {w.spec}")
@@ -229,7 +238,7 @@ class CyclicCode:
         if total > limit:
             raise TooLarge(f"|C| = {self.spec.p}^{self.cardinality_log()} exceeds {limit}")
         for block in codeword_blocks(self, _OBJECT_BLOCK):
-            yield from map(Codeword, repeat(self.spec), map(tuple, block.tolist()))
+            yield from map(_canonical_codeword, repeat(self.spec), map(tuple, block.tolist()))
 
     # -- duality ------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .code import CyclicCode, search_equivalence, search_multiplier_equivalence
-from .exhaustive import DEFAULT_BUDGET, enumeration_cost, min_hamming_weight
+from .exhaustive import DEFAULT_BUDGET, BudgetExceeded, min_hamming_weight
 from .fieldpoly import Splitting
 from .ring import RingSpec
 from .ringpoly import (
@@ -369,13 +369,15 @@ def verify_result(result: ConstructionResult, budget: int = DEFAULT_BUDGET) -> d
         else:
             report["dual_is"] = entry.label if code_dual == code else None
         if not code.is_zero_code():
-            if enumeration_cost(code, "auto", budget) > budget:
-                report["weight"] = None
-                report["weight_status"] = "budget_exceeded"
-            else:
+            try:
+                if budget <= 0:  # a zero budget asks for no weight at all
+                    raise BudgetExceeded(f"budget {budget} enumerates no word")
                 weight = min_hamming_weight(code, budget=budget, strategy="auto")
                 report["weight"] = weight.weight
                 report["weight_strategy"] = weight.strategy
+            except BudgetExceeded:
+                report["weight"] = None
+                report["weight_status"] = "budget_exceeded"
         reports[entry.label] = report
     return reports
 

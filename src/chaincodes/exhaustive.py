@@ -2,21 +2,34 @@
 
 Enumeration is blocked and vectorized with numpy; results are deterministic
 and independent of block size.  The direct strategy walks every mixed-radix
-combination of the generator rows.  The residue strategy (free codes only)
-walks the projective message space of the mod-p code; it is exact because a
-free code and its residue code have the same minimum weight, a fact the test
-suite re-validates against direct enumeration on every small instance.
+combination of the generator rows; it stays as the oracle.
+
+The weight engine (strategies "auto" and "residue") serves every nonzero
+code.  A code over a chain ring has the Hamming distance of its (e-1)-th
+torsion code (Norton & Salagean, IEEE TIT 46(3), 2000), which in family form
+is the F_p-cyclic code <F_0 mod p> of dimension k = n - deg F_0.  The engine
+enumerates projective messages of a systematic generator matrix of that code
+by message weight w (Brouwer-Zimmermann), each layer in two halves: first
+the messages whose digit 0 is nonzero, then the rest.  Any k cyclically
+consecutive positions of a cyclic code are an information set and the code
+is shift-invariant, so after layer w every word not yet seen has more than w
+nonzeros on each of the n windows, hence weight >= ceil(n (w + 1) / k); the
+first half of layer w already proves ceil(w n / (k - 1)) (see _steps).  It
+stops when the bound meets the best weight seen, and starts a half layer
+only when the half fits in what is left of the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import lru_cache
+from itertools import chain, combinations, islice, repeat
+from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .code import Codeword, CyclicCode, TooLarge, ZeroCode
+from .code import Codeword, CyclicCode, TooLarge, ZeroCode, _canonical_codeword
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -28,11 +41,15 @@ _OBJECT_BLOCK = 1 << 10
 
 
 class BudgetExceeded(ValueError):
-    """Enumeration budget hit; carries the best bound seen so far."""
+    """Enumeration budget hit; carries the bounds lower <= d <= upper proven
+    so far."""
 
-    def __init__(self, message: str, upper_bound: int | None = None, enumerated: int = 0):
+    def __init__(
+        self, message: str, upper_bound: int | None = None, enumerated: int = 0, lower_bound: int = 1
+    ):
         super().__init__(message)
         self.upper_bound = upper_bound
+        self.lower_bound = lower_bound
         self.enumerated = enumerated
 
 
@@ -102,67 +119,211 @@ def min_weight_direct(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> WeightR
     return WeightReport(weight=best, strategy="direct", enumerated=scanned)
 
 
-def min_weight_residue(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
-    """Minimum weight of a free code via its residue code over F_p.
-
-    Enumerates one representative per projective message class (first nonzero
-    message digit fixed to 1), which covers every weight since scaling by a
-    field unit preserves weight.
-    """
+def _torsion_generator(code: CyclicCode) -> tuple[tuple[int, ...], int]:
+    """gbar = F_0 mod p, the generator of the torsion code, and the torsion
+    code's dimension k = n - deg gbar."""
     if code.is_zero_code():
         raise ZeroCode("the zero code has no nonzero codeword")
-    if not code.is_free():
-        raise ValueError("residue strategy requires a free code")
-    p, n = code.spec.p, code.n
-    gbar = list(code.free_generator().reduce_mod_p().coeffs)
-    k = n - (len(gbar) - 1)
-    rows = np.zeros((k, n), dtype=np.int64)
-    for r in range(k):
-        rows[r, r : r + len(gbar)] = gbar
-    _check_numpy_safe(p, [p] * k)
-    total = (p**k - 1) // (p - 1)
-    best = n + 1
-    scanned = 0
-    for lead in range(k):
-        free = k - 1 - lead
-        layer = p**free
-        for start in range(0, layer, _BLOCK):
-            count = min(_BLOCK, layer - start)
-            digits = np.zeros((count, k), dtype=np.int64)
-            digits[:, lead] = 1
-            if free:
-                digits[:, lead + 1 :] = _digit_block(start, count, [p] * free)
-            words = (digits @ rows) % p
-            best = min(best, int(np.count_nonzero(words, axis=1).min()))
-            scanned += count
-            if scanned > budget:
-                raise BudgetExceeded(
-                    f"residue enumeration of {total} classes exceeds budget {budget}",
-                    upper_bound=best,
-                    enumerated=scanned,
-                )
-    return WeightReport(weight=best, strategy="residue", enumerated=scanned)
+    gbar = tuple(c % code.spec.p for c in code.F[0].coeffs)
+    return gbar, code.n - len(gbar) + 1
+
+
+def _equivalent_generators(gbar: tuple[int, ...], n: int, p: int) -> Iterator[tuple[int, ...]]:
+    """Monic generators of the cyclic codes that c(x) -> c(lam x), lam^n = 1,
+    and the reversal of positions map <gbar> to.  These maps only scale and
+    permute positions, so every such code has the weights of <gbar>."""
+    for g in (gbar, gbar[::-1]):
+        for lam in range(1, p):
+            if pow(lam, n, p) == 1:
+                coeffs = [c * pow(lam, i, p) % p for i, c in enumerate(g)]
+                inv = pow(coeffs[-1], -1, p)
+                yield tuple(c * inv % p for c in coeffs)
+
+
+def _parity_rows(gbar: tuple[int, ...], k: int, p: int) -> np.ndarray:
+    """The first r = deg gbar columns of the systematic generator matrix of
+    <gbar> whose identity block sits on the last k positions: row j is
+    x^(r+j) - (x^(r+j) mod gbar)."""
+    gbar = np.array(gbar, dtype=np.int64)
+    r = len(gbar) - 1
+    parity = np.zeros((k, r), dtype=np.int64)
+    rem = -gbar[:r] % p  # x^r mod gbar
+    for j in range(k):
+        parity[j] = -rem % p
+        if r:
+            rem = (np.concatenate(([0], rem[:-1])) - rem[-1] * gbar[:r]) % p
+    return parity
+
+
+def _window_bound(n: int, k: int, layer: int) -> int:
+    """ceil(n (layer + 1) / k): a lower bound on every word not yet seen once
+    layers 1..layer are done."""
+    return -(-n * (layer + 1) // k)
+
+
+@dataclass(frozen=True)
+class _Step:
+    """Half of layer w: the lead half holds the message supports that
+    contain digit 0, the other half the rest.  `lower` bounds every word not
+    yet seen once the step is done."""
+
+    w: int
+    lead: bool
+    words: int
+    lower: int
+
+
+def _steps(n: int, k: int, p: int) -> list[_Step]:
+    """The engine's enumeration order, half a layer at a time.
+
+    Once layers 1..w-1 and the lead half of layer w are done, a word c not
+    yet seen has more than w nonzeros in the window that starts at any of
+    its nonzeros s_0 < ... < s_(d-1) (shift c to put s_j on digit 0), so
+    s_(j+w) - s_j <= k - 1 cyclically.  Summed over j that gives
+    w n <= d (k - 1): d >= ceil(w n / (k - 1)), at least one more than
+    layer w-1 proves when n = 2k, for w/k of the work of layer w."""
+    steps = []
+    for w in range(1, k + 1):
+        classes = (p - 1) ** (w - 1)
+        full = _window_bound(n, k, w)
+        lead = -(-w * n // (k - 1)) if k > 1 else full
+        steps.append(_Step(w, True, comb(k - 1, w - 1) * classes, lead))
+        steps.append(_Step(w, False, comb(k - 1, w) * classes, full))
+    return steps
+
+
+def _supports(k: int, step: _Step) -> Iterator[tuple[int, ...]]:
+    if step.lead:
+        return ((0, *rest) for rest in combinations(range(1, k), step.w - 1))
+    return combinations(range(1, k), step.w)
+
+
+# Multiples c * row_j for every digit c are tabulated up to this many
+# entries; past it (large p) they are computed per block.
+_TABLE_ENTRIES = 1 << 22
+
+
+def _step_minima(parity: np.ndarray, step: _Step, p: int) -> Iterator[tuple[int, int]]:
+    """(words, least redundancy weight) per block of at most _BLOCK of the
+    step's projective messages (first nonzero digit 1).
+
+    Meet in the middle: the lead row and the first h = (w - 1) // 2 other
+    digits give a partial sum P1, the other digits a negated partial sum
+    P2, and a word's redundancy part is zero exactly where P1 == P2, so a
+    word costs one byte comparison per position.  Partial sums stay below p
+    in unsigned ints, where x mod p = min(x, x - p) for x < 2p - 1."""
+    k, r = parity.shape
+    w, h = step.w, (step.w - 1) // 2
+    low = np.uint8 if p <= 128 else np.uint16 if p <= 2**15 else np.uint64
+    if r * k * p <= _TABLE_ENTRIES:
+        # column j * p + c of tables[sign] holds sign * c * row_j mod p
+        scaled = np.arange(p)[None, :, None] * parity[:, None, :]
+        tables = {sign: (sign * scaled % p).astype(low).reshape(k * p, r).T.copy() for sign in (1, -1)}
+
+        def multiples(sign: int, rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
+            return np.take(tables[sign], rows * p + digits, axis=1)
+
+    else:
+        parity_t = parity.T.copy()
+
+        def multiples(sign: int, rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
+            return (sign * np.take(parity_t, rows, axis=1) * digits % p).astype(low)
+
+    def partial(sign: int, sup: np.ndarray, cols: range, digits: np.ndarray, inner: bool) -> np.ndarray:
+        """Sum over the columns, shaped (r, classes, supports) if inner else
+        (r, supports, classes)."""
+        acc = np.zeros((r, 1, len(sup)) if inner else (r, len(sup), 1), dtype=low)
+        for t, col in enumerate(cols):
+            if inner:
+                acc = acc + multiples(sign, sup[None, :, col], digits[:, t, None])
+            else:
+                acc = acc + multiples(sign, sup[:, col, None], digits[None, :, t])
+            np.minimum(acc, acc - low(p), out=acc)
+        return acc
+
+    d1 = _digit_block(0, (p - 1) ** h, [p - 1] * h) + 1
+    d1 = np.hstack((np.ones((len(d1), 1), np.int64), d1))  # the lead digit is 1
+    d2 = _digit_block(0, (p - 1) ** (w - 1 - h), [p - 1] * (w - 1 - h)) + 1
+    c1, c2 = len(d1), len(d2)
+    supports = _supports(k, step)
+    per = max(1, _BLOCK // (c1 * c2))
+    while (flat := np.fromiter(chain.from_iterable(islice(supports, per)), np.intp)).size:
+        sup = flat.reshape(-1, w)
+        span2 = min(c2, _BLOCK)
+        span1 = max(1, _BLOCK // (len(sup) * span2))
+        inner = span2 < len(sup)  # compare along the longer axis
+        q1 = partial(1, sup, range(h + 1), d1, inner)
+        q2 = partial(-1, sup, range(h + 1, w), d2, inner)
+        for i in range(0, c1, span1):
+            for j in range(0, c2, span2):
+                if inner:  # (r, c1, c2, supports)
+                    eq = q1[:, i : i + span1, None, :] == q2[:, None, j : j + span2, :]
+                else:  # (r, supports, c1, c2)
+                    eq = q1[:, :, i : i + span1, None] == q2[:, :, None, j : j + span2]
+                zeros = eq.sum(axis=0, dtype=np.int16)
+                yield zeros.size, r - int(zeros.max())
+
+
+def min_weight_residue(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
+    """Minimum weight of any nonzero code, read off its torsion code
+    <F_0 mod p>: projective messages are enumerated half a layer of message
+    weight at a time (_steps) until the lower bound meets the best weight
+    seen (Brouwer-Zimmermann).  A step runs only when it fits in what is
+    left of the budget, so no more than `budget` words are enumerated; when
+    the next step does not fit, BudgetExceeded carries the bounds proven so
+    far.  Codes with equivalent torsion codes (_equivalent_generators), as
+    the codes over Z_(p^2) and Z_(p^3) of one search often are, share one
+    run."""
+    gbar, _ = _torsion_generator(code)
+    n, p = code.n, code.spec.p
+    _check_numpy_safe(p, [p])  # the tables hold products c * row_j < p^2
+    lower, upper, scanned = _torsion_weight(min(_equivalent_generators(gbar, n, p)), n, p, budget)
+    if lower < upper:
+        raise BudgetExceeded(
+            f"torsion-code enumeration needs more than budget {budget}",
+            upper_bound=upper,
+            enumerated=scanned,
+            lower_bound=lower,
+        )
+    return WeightReport(weight=upper, strategy="residue", enumerated=scanned)
+
+
+@lru_cache(maxsize=1024)
+def _torsion_weight(gbar: tuple[int, ...], n: int, p: int, budget: int) -> tuple[int, int, int]:
+    """(lower, upper, words enumerated) of the engine's run on <gbar>; the
+    run resolved the minimum weight, upper, when lower >= upper."""
+    k = n - len(gbar) + 1
+    parity = _parity_rows(gbar, k, p)
+    # gbar is a word, and wt(gbar) <= deg gbar + 1 = n - k + 1 (Singleton)
+    upper = sum(c != 0 for c in gbar)
+    lower, scanned = _window_bound(n, k, 0), 0
+    for step in _steps(n, k, p):
+        if lower >= upper or scanned + step.words > budget:
+            break
+        for words, least in _step_minima(parity, step, p):
+            upper = min(upper, step.w + least)
+            scanned += words
+            if lower >= upper:
+                break
+        else:
+            lower = max(lower, step.lower)
+    return lower, upper, scanned
 
 
 def enumeration_cost(code: CyclicCode, strategy: str = "auto", budget: int = DEFAULT_BUDGET) -> int:
-    """Number of words the chosen strategy would enumerate."""
+    """Number of words the chosen strategy would enumerate at most.  For the
+    torsion-code engine that is every step through the first (at least one)
+    whose bound reaches wt(gbar); the sum stops once it passes the budget."""
     total = code.spec.p ** code.cardinality_log()
     if strategy == "direct":
         return total
-    residue_total = None
-    if code.is_free():
-        p = code.spec.p
-        k = code.n - code.free_generator().degree
-        residue_total = (p**k - 1) // (p - 1)
-    if strategy == "residue":
-        if residue_total is None:
-            raise ValueError("residue strategy requires a free code")
-        return residue_total
-    if strategy == "both":
-        return total + (residue_total or 0)
-    if total <= budget or residue_total is None:
-        return total
-    return residue_total
+    gbar, k = _torsion_generator(code)
+    upper, cost = sum(c != 0 for c in gbar), 0
+    for step in _steps(code.n, k, code.spec.p):
+        cost += step.words
+        if step.lower >= upper or cost > budget:
+            break
+    return cost + (total if strategy == "both" else 0)
 
 
 def min_hamming_weight(
@@ -170,15 +331,15 @@ def min_hamming_weight(
 ) -> WeightReport:
     """Minimum Hamming weight over the nonzero codewords.
 
-    strategy "auto" enumerates directly when the code fits the budget and
-    falls back to the residue strategy for free codes; "both" runs the two
-    and insists they agree.
+    Strategies "auto" and "residue" run the torsion-code engine, "direct"
+    enumerates the whole code, and "both" runs the two and insists they
+    agree.
     """
     if code.is_zero_code():
         raise ZeroCode("the zero code has no nonzero codeword")
     if strategy == "direct":
         return min_weight_direct(code, budget)
-    if strategy == "residue":
+    if strategy in ("auto", "residue"):
         return min_weight_residue(code, budget)
     if strategy == "both":
         direct = min_weight_direct(code, budget)
@@ -192,14 +353,7 @@ def min_hamming_weight(
             strategy="both",
             enumerated=direct.enumerated + residue.enumerated,
         )
-    if strategy != "auto":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    total = code.spec.p ** code.cardinality_log()
-    if total <= budget:
-        return min_weight_direct(code, budget)
-    if code.is_free():
-        return min_weight_residue(code, budget)
-    return min_weight_direct(code, budget)  # raises BudgetExceeded with a bound
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,5 +414,5 @@ def annihilator_vectors(code: CyclicCode, limit: int = 500_000) -> list[Codeword
     for start in range(0, total, _OBJECT_BLOCK):
         block = slice(start, start + _OBJECT_BLOCK)
         words = np.hstack((left[left_idx[block]], right[right_idx[block]]))
-        out.extend(map(Codeword, repeat(code.spec), map(tuple, words.tolist())))
+        out.extend(map(_canonical_codeword, repeat(code.spec), map(tuple, words.tolist())))
     return out

@@ -173,13 +173,68 @@ def _known_prime(n: int) -> bool:
     return n < 2**63 and is_prime(n)
 
 
+# Cycle lengths rho tries per seed: enough for a second-largest prime
+# factor near 10^12.
+_RHO_STEPS = 1 << 20
+_RHO_BATCH = 64
+
+
+def _rho_factor(n: int) -> int | None:
+    """A proper divisor of n > 1 by Pollard-Brent rho (x -> x^2 + c with the
+    fixed seeds c = 1, 2, 3), or None when no seed splits n with cycle
+    lengths up to _RHO_STEPS.  Deterministic: every run splits n the same way."""
+    for c in (1, 2, 3):
+        y, power, product, g = 2, 1, 1, 1
+        while g == 1 and power <= _RHO_STEPS:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            done = 0
+            while done < power and g == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, power - done)):
+                    y = (y * y + c) % n
+                    product = product * abs(x - y) % n
+                g = gcd(product, n)
+                done += _RHO_BATCH
+            power *= 2
+        if g == n:  # the batch overshot: step again one at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(abs(x - saved), n)
+        if 1 < g < n:
+            return g
+    return None
+
+
+def _trial_primes(value: int, d: int) -> set[int]:
+    """Distinct prime divisors of a divisor of Phi_d(p) by exact trial division:
+    such a prime divides d or is 1 mod d.  Stops early once the cofactor left
+    is a prime in the exact range of is_prime."""
+    primes = set()
+    prime_left = _known_prime(value)
+    for c in itertools.chain(prime_factors(d), itertools.count(d + 1, d)):
+        if prime_left or c * c > value:
+            break
+        if value % c == 0:
+            primes.add(c)
+            while value % c == 0:
+                value //= c
+            prime_left = _known_prime(value)
+    if value > 1:
+        primes.add(value)
+    return primes
+
+
 def _unit_group_primes(p: int, s: int) -> list[int]:
     """Distinct prime divisors of p^s - 1, ascending.
 
-    p^s - 1 is the product of the cyclotomic values Phi_d(p) over d | s, and
-    a prime dividing Phi_d(p) either divides d or is 1 mod d, so trial
-    division of each Phi_d(p) steps through 1 mod d.  It stops early once
-    the cofactor left is a prime in the exact range of is_prime.
+    p^s - 1 is the product of the cyclotomic values Phi_d(p) over d | s.
+    Pollard-Brent rho splits each Phi_d(p) into pieces.  A piece counts as
+    prime only through is_prime in its exact range, and any other piece rho
+    does not split is factored by exact trial division, so no probabilistic
+    claim enters the result.
     """
     divisors = [d for d in range(1, s + 1) if s % d == 0]
     phi: dict[int, int] = {}
@@ -190,17 +245,16 @@ def _unit_group_primes(p: int, s: int) -> list[int]:
             if k < d and d % k == 0:
                 value //= phi[k]
         phi[d] = value
-        prime_left = _known_prime(value)
-        for c in itertools.chain(prime_factors(d), itertools.count(d + 1, d)):
-            if prime_left or c * c > value:
-                break
-            if value % c == 0:
-                primes.add(c)
-                while value % c == 0:
-                    value //= c
-                prime_left = _known_prime(value)
-        if value > 1:
-            primes.add(value)
+        pieces = [value] if value > 1 else []
+        while pieces:
+            piece = pieces.pop()
+            # is_prime is exact below 2^63; above, False still proves the
+            # piece composite, and True only sends it to trial division
+            factor = None if is_prime(piece) else _rho_factor(piece)
+            if factor is None:
+                primes |= _trial_primes(piece, d)
+            else:
+                pieces += [factor, piece // factor]
     return sorted(primes)
 
 

@@ -306,3 +306,7 @@ def test_annihilator_matches_dual_small():
             ann = {w.entries for w in annihilator_vectors(code)}
             dual_words = {w.entries for w in d.codewords()}
             assert ann == dual_words
+
+
+def test_public_codeword_constructor_reduces_entries():
+    assert Codeword(RingSpec(3, 2), (9, -1)).entries == (0, 8)

@@ -9,9 +9,11 @@ zeta, the factor order and every lifted coefficient.
 import hashlib
 import itertools
 import json
+import time
 from math import gcd
 
 import numpy as np
+import pytest
 import sympy
 
 from chaincodes.fieldpoly import (
@@ -71,6 +73,26 @@ def test_unit_group_primes_match_sympy():
     assert len(pairs) == 128
     for p, s in pairs:
         assert _unit_group_primes(p, s) == sympy.primefactors(p**s - 1), (p, s)
+
+
+@pytest.mark.parametrize(
+    "p, s, second_largest, seconds",
+    [
+        # after 59, Phi_29(7) is 127540261 x 71316922984999: trial division
+        # alone walks to 127540261 (about 0.5 s)
+        (7, 29, 127540261, 0.25),
+        # Phi_59(3) = 14425532687 x 489769993189671059: trial division alone
+        # walks 2.4e8 candidates 1 mod 59 (over a minute)
+        (3, 59, 14425532687, 5.0),
+    ],
+)
+def test_unit_group_primes_split_large_cofactors_in_bounded_time(p, s, second_largest, seconds):
+    start = time.perf_counter()
+    primes = _unit_group_primes(p, s)
+    elapsed = time.perf_counter() - start
+    assert primes == sympy.primefactors(p**s - 1)
+    assert sorted(sympy.factorint(p**s - 1))[-2] == second_largest
+    assert elapsed < seconds, elapsed
 
 
 def test_is_prime_matches_sympy_on_strong_pseudoprimes():
