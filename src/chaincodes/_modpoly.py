@@ -1,13 +1,22 @@
-"""Dense univariate polynomial arithmetic modulo an integer.
+"""Dense univariate polynomial arithmetic modulo an integer, and RPoly,
+the one polynomial type of the library.
 
-Polynomials are plain lists of coefficients in ascending degree with no
-trailing zeros; the zero polynomial is the empty list.  Everything here is
-exact integer arithmetic; the modulus M may be a prime or a prime power.
-Field-only routines (general division, gcd) require unit leading
+The list routines work on plain lists of coefficients in ascending degree
+with no trailing zeros; the zero polynomial is the empty list.  Everything
+here is exact integer arithmetic; the modulus M may be a prime or a prime
+power.  Field-only routines (general division, gcd) require unit leading
 coefficients and are used with M prime.
+
+RPoly wraps such a list with its ring Z_{p^e}; residue polynomials over F_p
+are RPolys over RingSpec(p, 1).  It lives here, below both fieldpoly and
+ringpoly, so that fieldpoly can return it without importing ringpoly.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .ring import MismatchedRing, NotAUnit, RingSpec
 
 
 def pnorm(coeffs: list[int], m: int) -> list[int]:
@@ -161,3 +170,80 @@ class PolyModulus:
                 base = self._pack(self._reduce(base * base))
         return pnorm(self._unpack(result, self.degree), self.m)
 
+
+@dataclass(frozen=True)
+class RPoly:
+    """Dense polynomial over Z_{p^e}, coefficients ascending and canonical."""
+
+    spec: RingSpec
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "coeffs", tuple(pnorm(list(self.coeffs), self.spec.modulus))
+        )
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def is_one(self) -> bool:
+        return self.coeffs == (1,)
+
+    def constant_term(self) -> int:
+        return self.coeffs[0] if self.coeffs else 0
+
+    def _check(self, other: "RPoly") -> None:
+        if self.spec != other.spec:
+            raise MismatchedRing(f"{self.spec} vs {other.spec}")
+
+    def __add__(self, other: "RPoly") -> "RPoly":
+        self._check(other)
+        return RPoly(self.spec, tuple(padd(list(self.coeffs), list(other.coeffs), self.spec.modulus)))
+
+    def __sub__(self, other: "RPoly") -> "RPoly":
+        self._check(other)
+        return RPoly(self.spec, tuple(psub(list(self.coeffs), list(other.coeffs), self.spec.modulus)))
+
+    def __mul__(self, other: "RPoly") -> "RPoly":
+        self._check(other)
+        return RPoly(self.spec, tuple(pmul(list(self.coeffs), list(other.coeffs), self.spec.modulus)))
+
+    def divmod_monic(self, other: "RPoly") -> tuple["RPoly", "RPoly"]:
+        """Euclidean division by a monic divisor (exact over Z_{p^e})."""
+        self._check(other)
+        if not other.is_monic():
+            raise ValueError(f"divisor must be monic, got leading {other.coeffs[-1] if other.coeffs else 0}")
+        q, r = pdivmod(list(self.coeffs), list(other.coeffs), self.spec.modulus)
+        return RPoly(self.spec, tuple(q)), RPoly(self.spec, tuple(r))
+
+    def divides(self, other: "RPoly") -> bool:
+        """Exact monic divisibility: self | other."""
+        return other.divmod_monic(self)[1].is_zero()
+
+    def monic(self) -> "RPoly":
+        """Scale by the leading coefficient's inverse; leading must be a unit."""
+        if self.is_zero():
+            return self
+        if not self.spec.is_unit(self.coeffs[-1]):
+            raise NotAUnit(f"leading coefficient {self.coeffs[-1]} is not a unit")
+        return RPoly(self.spec, tuple(pmonic(list(self.coeffs), self.spec.modulus)))
+
+    def __str__(self) -> str:
+        from .serialize import poly_to_text
+
+        return poly_to_text(list(self.coeffs))
+
+    @classmethod
+    def one(cls, spec: RingSpec) -> "RPoly":
+        return cls(spec, (1,))
+
+    @classmethod
+    def xn_minus_1(cls, spec: RingSpec, n: int) -> "RPoly":
+        return cls(spec, tuple([spec.modulus - 1] + [0] * (n - 1) + [1]))

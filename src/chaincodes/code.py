@@ -101,13 +101,10 @@ class CyclicCode:
             if not f.is_monic():
                 raise ValueError(f"family member {f} is not monic")
             product = product * f
+        # x^n - 1 is squarefree over F_p because p does not divide n, so
+        # monic members that multiply to it are pairwise coprime mod p
         if product != RPoly.xn_minus_1(spec, n):
             raise ValueError("family product is not x^n - 1")
-        reductions = [f.reduce_mod_p() for f in self.F]
-        for i in range(len(reductions)):
-            for j in range(i + 1, len(reductions)):
-                if reductions[i].gcd(reductions[j]).coeffs != (1,):
-                    raise ValueError(f"family members {i} and {j} are not coprime")
 
     # -- constructors -------------------------------------------------------
 
@@ -308,14 +305,17 @@ def search_equivalence(
 def search_multiplier_equivalence(
     source: CyclicCode, target: CyclicCode
 ) -> Optional[IsodualCertificate]:
-    """Like search_equivalence but over every unit multiplier mod n.  Any hit
-    is still a monomial (hence weight-preserving) equivalence; the wider
-    search catches pairs related by a splitting witness rather than by
-    negation."""
+    """Like search_equivalence but over every unit multiplier mod n: 1 and
+    n - 1 first, then the other units ascending, so a pair that
+    search_equivalence certifies gets the same certificate.  Any hit is
+    still a monomial (hence weight-preserving) equivalence; the wider search
+    catches pairs related by a splitting witness rather than by negation."""
     from math import gcd
 
-    multipliers = [a for a in range(1, source.n) if gcd(a, source.n) == 1] or [1]
-    return _search_maps(source, target, multipliers)
+    n = source.n
+    negation = [n - 1] if n > 2 else []
+    others = [a for a in range(2, n - 1) if gcd(a, n) == 1]
+    return _search_maps(source, target, [1] + negation + others)
 
 
 def _search_maps(

@@ -1,5 +1,6 @@
-"""Polynomials over F_p: arithmetic, factorization of x^n - 1, cyclotomic
-cosets, quadratic-residue tests and duadic splittings.
+"""Polynomials over F_p, which are RPolys over RingSpec(p, 1): irreducibility,
+factorization of x^n - 1, cyclotomic cosets, quadratic-residue tests and
+duadic splittings.
 
 Factorization of x^n - 1 is done by computing the minimal polynomial of each
 cyclotomic coset from a primitive n-th root of unity in F_{p^s}, where
@@ -19,71 +20,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
-from ._modpoly import (
-    PolyModulus,
-    padd,
-    pdivmod,
-    pgcd,
-    pmonic,
-    pmul,
-    pnorm,
-    psub,
-)
-from .ring import is_prime
-
-
-@dataclass(frozen=True)
-class FqPoly:
-    """Dense polynomial over F_p, coefficients ascending, no trailing zeros."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(pnorm(list(self.coeffs), self.p)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def _check(self, other: "FqPoly") -> None:
-        if self.p != other.p:
-            raise ValueError(f"mixed characteristics {self.p} and {other.p}")
-
-    def __add__(self, other: "FqPoly") -> "FqPoly":
-        self._check(other)
-        return FqPoly(self.p, tuple(padd(list(self.coeffs), list(other.coeffs), self.p)))
-
-    def __sub__(self, other: "FqPoly") -> "FqPoly":
-        self._check(other)
-        return FqPoly(self.p, tuple(psub(list(self.coeffs), list(other.coeffs), self.p)))
-
-    def __mul__(self, other: "FqPoly") -> "FqPoly":
-        self._check(other)
-        return FqPoly(self.p, tuple(pmul(list(self.coeffs), list(other.coeffs), self.p)))
-
-    def divmod(self, other: "FqPoly") -> tuple["FqPoly", "FqPoly"]:
-        self._check(other)
-        q, r = pdivmod(list(self.coeffs), list(other.coeffs), self.p)
-        return FqPoly(self.p, tuple(q)), FqPoly(self.p, tuple(r))
-
-    def gcd(self, other: "FqPoly") -> "FqPoly":
-        self._check(other)
-        return FqPoly(self.p, tuple(pgcd(list(self.coeffs), list(other.coeffs), self.p)))
-
-    def monic(self) -> "FqPoly":
-        return FqPoly(self.p, tuple(pmonic(list(self.coeffs), self.p)))
-
-    def __str__(self) -> str:
-        from .serialize import poly_to_text
-
-        return poly_to_text(list(self.coeffs))
+from ._modpoly import PolyModulus, RPoly, pgcd, pnorm, psub
+from .ring import PRIME_EXACT_BELOW, RingSpec, is_prime
 
 
 def ord_mod(n: int, q: int) -> int:
@@ -170,7 +108,7 @@ def prime_factors(n: int) -> list[int]:
 
 def _known_prime(n: int) -> bool:
     """A prime inside the range where is_prime is exact."""
-    return n < 2**63 and is_prime(n)
+    return n < PRIME_EXACT_BELOW and is_prime(n)
 
 
 # Cycle lengths rho tries per seed: enough for a second-largest prime
@@ -248,7 +186,7 @@ def _unit_group_primes(p: int, s: int) -> list[int]:
         pieces = [value] if value > 1 else []
         while pieces:
             piece = pieces.pop()
-            # is_prime is exact below 2^63; above, False still proves the
+            # is_prime is exact below psi_13; above, False still proves the
             # piece composite, and True only sends it to trial division
             factor = None if is_prime(piece) else _rho_factor(piece)
             if factor is None:
@@ -258,11 +196,13 @@ def _unit_group_primes(p: int, s: int) -> list[int]:
     return sorted(primes)
 
 
-def is_irreducible(poly: FqPoly) -> bool:
-    """Ben-Or irreducibility test over F_p: a polynomial h of degree s is
-    irreducible iff gcd(x^(p^i) - x, h) = 1 for every i <= s/2, that is,
-    iff it has no irreducible factor of degree <= s/2."""
-    p = poly.p
+def is_irreducible(poly: RPoly) -> bool:
+    """Ben-Or irreducibility test for an RPoly over F_p = RingSpec(p, 1): a
+    polynomial h of degree s is irreducible iff gcd(x^(p^i) - x, h) = 1 for
+    every i <= s/2, that is, iff it has no irreducible factor of degree <= s/2."""
+    if poly.spec.e != 1:
+        raise ValueError(f"irreducibility is tested over F_p, not {poly.spec}")
+    p = poly.spec.p
     h = list(poly.coeffs)
     s = len(h) - 1
     if s <= 0:
@@ -278,17 +218,18 @@ def is_irreducible(poly: FqPoly) -> bool:
     return True
 
 
-def find_irreducible(p: int, s: int) -> FqPoly:
+def find_irreducible(p: int, s: int) -> RPoly:
     """First monic irreducible of degree s over F_p, scanning the lower
     coefficients in constant-first base-p encoding order."""
+    field = RingSpec(p, 1)
     if s == 1:
-        return FqPoly(p, (0, 1))
+        return RPoly(field, (0, 1))
     for code in range(p**s):
         coeffs, v = [], code
         for _ in range(s):
             coeffs.append(v % p)
             v //= p
-        cand = FqPoly(p, tuple(coeffs + [1]))
+        cand = RPoly(field, tuple(coeffs + [1]))
         if is_irreducible(cand):
             return cand
     raise AssertionError(f"no irreducible of degree {s} over F_{p}")
@@ -351,23 +292,23 @@ def _ext_field(p: int, s: int) -> _ExtField:
 
 
 @lru_cache(maxsize=None)
-def factor_xn_minus_1(n: int, p: int) -> tuple[FqPoly, ...]:
-    """Monic irreducible factors of x^n - 1 over F_p, one per cyclotomic
-    coset, ordered by ascending minimal coset representative.
+def factor_xn_minus_1(n: int, p: int) -> tuple[RPoly, ...]:
+    """Monic irreducible factors of x^n - 1 over F_p, as RPolys over
+    RingSpec(p, 1), one per cyclotomic coset, ordered by ascending minimal
+    coset representative.
 
     The factor for coset Cl(i) is the minimal polynomial of z^i, where z is
     the fixed primitive n-th root of unity g**((p^s - 1)/n) for the smallest
     multiplicative generator g of F_{p^s}.  It is read off the first linear
     dependency among the powers of z^i, which are all powers of z.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    field = RingSpec(p, 1)  # raises ValueError unless p is prime
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
     if n % p == 0:
         raise ValueError(f"p = {p} divides n = {n}")
     if n == 1:
-        return (FqPoly(p, (p - 1, 1)),)
+        return (RPoly(field, (p - 1, 1)),)
     s = ord_mod(n, p)
     ext = _ext_field(p, s)
     zeta = ext.pow(ext.generator(), ext.order // n)
@@ -378,7 +319,7 @@ def factor_xn_minus_1(n: int, p: int) -> tuple[FqPoly, ...]:
     for coset in _orbits(n, p):
         i = coset[0]
         coeffs = _minimal_polynomial([powers[i * k % n] for k in range(len(coset) + 1)], s, p)
-        factors.append(FqPoly(p, tuple(coeffs)))
+        factors.append(RPoly(field, tuple(coeffs)))
     return tuple(factors)
 
 

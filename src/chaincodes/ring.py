@@ -6,10 +6,12 @@ from dataclasses import dataclass
 
 _MAX_MODULUS = 2**63 - 1
 
-# Miller-Rabin witnesses: the first 12 primes.  They are exact below
-# psi_12 = 318665857834031151167461 (~3.2e23), the least strong pseudoprime to
-# all of them (is_prime calls it prime); callers rely on is_prime below 2**63.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the first 13 primes.  They are exact below
+# psi_13 = 3317044064679887385961981 (~3.3e24), the least strong pseudoprime
+# to all of them (Sorenson & Webster, Math. Comp. 86, 2017); is_prime calls
+# it prime.  fieldpoly trusts is_prime on every number below that bound.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_EXACT_BELOW = 3317044064679887385961981
 
 
 class MismatchedRing(ValueError):
@@ -21,7 +23,8 @@ class NotAUnit(ArithmeticError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check for n below 2**63."""
+    """Deterministic primality check, exact for n below PRIME_EXACT_BELOW;
+    above it, False still proves n composite."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:

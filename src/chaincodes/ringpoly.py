@@ -4,21 +4,20 @@ roots of unity in the unit group."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from ._modpoly import (
+    RPoly,
     padd,
     pdivmod,
-    pmonic,
     pmul,
     pnorm,
     pscale,
     psub,
     pxgcd,
 )
-from .fieldpoly import FqPoly, factor_xn_minus_1, prime_factors
+from .fieldpoly import _orbits, factor_xn_minus_1, prime_factors
 from .ring import MismatchedRing, NotAUnit, RElem, RingSpec
 
 
@@ -32,88 +31,6 @@ class NoSuchRoot(ArithmeticError):
 
 class LiftError(ValueError):
     """Hensel lifting input violates monic/coprime/product preconditions."""
-
-
-@dataclass(frozen=True)
-class RPoly:
-    """Dense polynomial over Z_{p^e}, coefficients ascending and canonical."""
-
-    spec: RingSpec
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coeffs", tuple(pnorm(list(self.coeffs), self.spec.modulus))
-        )
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
-    def constant_term(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
-    def _check(self, other: "RPoly") -> None:
-        if self.spec != other.spec:
-            raise MismatchedRing(f"{self.spec} vs {other.spec}")
-
-    def __add__(self, other: "RPoly") -> "RPoly":
-        self._check(other)
-        return RPoly(self.spec, tuple(padd(list(self.coeffs), list(other.coeffs), self.spec.modulus)))
-
-    def __sub__(self, other: "RPoly") -> "RPoly":
-        self._check(other)
-        return RPoly(self.spec, tuple(psub(list(self.coeffs), list(other.coeffs), self.spec.modulus)))
-
-    def __mul__(self, other: "RPoly") -> "RPoly":
-        self._check(other)
-        return RPoly(self.spec, tuple(pmul(list(self.coeffs), list(other.coeffs), self.spec.modulus)))
-
-    def divmod_monic(self, other: "RPoly") -> tuple["RPoly", "RPoly"]:
-        """Euclidean division by a monic divisor (exact over Z_{p^e})."""
-        self._check(other)
-        if not other.is_monic():
-            raise ValueError(f"divisor must be monic, got leading {other.coeffs[-1] if other.coeffs else 0}")
-        q, r = pdivmod(list(self.coeffs), list(other.coeffs), self.spec.modulus)
-        return RPoly(self.spec, tuple(q)), RPoly(self.spec, tuple(r))
-
-    def divides(self, other: "RPoly") -> bool:
-        """Exact monic divisibility: self | other."""
-        return other.divmod_monic(self)[1].is_zero()
-
-    def monic(self) -> "RPoly":
-        """Scale by the leading coefficient's inverse; leading must be a unit."""
-        if self.is_zero():
-            return self
-        if not self.spec.is_unit(self.coeffs[-1]):
-            raise NotAUnit(f"leading coefficient {self.coeffs[-1]} is not a unit")
-        return RPoly(self.spec, tuple(pmonic(list(self.coeffs), self.spec.modulus)))
-
-    def reduce_mod_p(self) -> FqPoly:
-        """Coefficient-wise reduction to the residue field."""
-        return FqPoly(self.spec.p, tuple(c % self.spec.p for c in self.coeffs))
-
-    def __str__(self) -> str:
-        from .serialize import poly_to_text
-
-        return poly_to_text(list(self.coeffs))
-
-    @classmethod
-    def one(cls, spec: RingSpec) -> "RPoly":
-        return cls(spec, (1,))
-
-    @classmethod
-    def xn_minus_1(cls, spec: RingSpec, n: int) -> "RPoly":
-        return cls(spec, tuple([spec.modulus - 1] + [0] * (n - 1) + [1]))
 
 
 def reciprocal(f: RPoly) -> RPoly:
@@ -158,10 +75,11 @@ def multiplier_mod(f: RPoly, a: int, n: int) -> RPoly:
 
 
 def hensel_lift_factorization(
-    factors: list[FqPoly], n: int, spec: RingSpec
+    factors: list[RPoly], n: int, spec: RingSpec
 ) -> list[RPoly]:
-    """Lift a monic pairwise-coprime factorization of x^n - 1 over F_p to the
-    unique monic factorization over Z_{p^e}, positionally matched.
+    """Lift a monic pairwise-coprime factorization of x^n - 1 over F_p (RPolys
+    over RingSpec(p, 1)) to the unique monic factorization over Z_{p^e},
+    positionally matched.
 
     Linear lifting: peel factors off one at a time.  For a split F = G*H with
     gcd(Gbar, Hbar) = 1 and Bezout certificate s*Gbar + t*Hbar = 1 over F_p,
@@ -171,18 +89,19 @@ def hensel_lift_factorization(
     the final product is exactly x^n - 1 in Z_{p^e}[x].
     """
     p, m = spec.p, spec.modulus
+    field = RingSpec(p, 1)
     if n % p == 0:
         raise LiftError(f"p = {p} divides n = {n}")
     if any(not f.is_monic() for f in factors):
         raise LiftError("all factors must be monic")
-    if any(f.p != p for f in factors):
+    if any(f.spec != field for f in factors):
         raise LiftError("factor characteristic does not match the ring")
-    product = FqPoly(p, (1,))
+    product = RPoly.one(field)
     for f in factors:
         product = product * f
     # x^n - 1 is squarefree over F_p because p does not divide n, so factors
     # that multiply to it are pairwise coprime
-    if list(product.coeffs) != pnorm([-1] + [0] * (n - 1) + [1], p):
+    if product != RPoly.xn_minus_1(field, n):
         raise LiftError("factors do not multiply to x^n - 1 over F_p")
 
     lifted: list[RPoly] = []
@@ -214,12 +133,10 @@ def hensel_lift_factorization(
 
 
 @lru_cache(maxsize=None)
-def lifted_factorization(n: int, spec: RingSpec) -> tuple[tuple[tuple[int, ...], FqPoly, RPoly], ...]:
+def lifted_factorization(n: int, spec: RingSpec) -> tuple[tuple[tuple[int, ...], RPoly, RPoly], ...]:
     """Basic irreducible factorization of x^n - 1 over Z_{p^e}: triples
-    (cyclotomic coset, residue factor, lifted factor), ordered by ascending
-    minimal coset representative."""
-    from .fieldpoly import _orbits
-
+    (cyclotomic coset, residue factor over F_p, lifted factor), ordered by
+    ascending minimal coset representative."""
     residue = factor_xn_minus_1(n, spec.p)
     cosets = [tuple(c) for c in _orbits(n, spec.p)]
     lifted = hensel_lift_factorization(list(residue), n, spec)

@@ -11,7 +11,7 @@ import re
 
 from . import constructions  # the module, not its names: it imports this one
 from .code import CyclicCode
-from .fieldpoly import FqPoly, Splitting
+from .fieldpoly import Splitting
 from .ring import RingSpec
 from .ringpoly import RPoly
 
@@ -29,17 +29,6 @@ def ring_from_json(data: dict) -> RingSpec:
         return RingSpec(int(data["p"]), int(data["e"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad ring spec {data!r}: {exc}") from exc
-
-
-def fqpoly_to_json(poly: FqPoly) -> dict:
-    return {"p": poly.p, "coeffs": list(poly.coeffs)}
-
-
-def fqpoly_from_json(data: dict) -> FqPoly:
-    try:
-        return FqPoly(int(data["p"]), tuple(int(c) for c in data["coeffs"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad field polynomial {data!r}: {exc}") from exc
 
 
 def rpoly_to_json(poly: RPoly) -> dict:

@@ -5,10 +5,14 @@ renames one of these names would otherwise only show when the traced
 benchmark pass fails.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 from chaincodes.code import Codeword, CyclicCode  # noqa: E402
 from chaincodes.ring import RingSpec  # noqa: E402
@@ -41,3 +45,54 @@ def test_every_traced_hook_resolves(monkeypatch):
 def test_workloads_and_make_pools_import():
     assert callable(workloads.run_op)
     assert callable(make_pools.main)
+
+
+# Runs in a fresh interpreter, because layers.install rebinds library
+# functions for the rest of the process.
+_TRACED_FIRST_OPS = """
+import json, time
+from perfbench import layers, workloads
+from perfbench.checks import check
+from perfbench.trace import Tracer
+
+tracer = Tracer()
+layers.install(tracer)
+pools = workloads.load_pools()
+report = {"failed": {}, "wrong": {}}
+start = time.perf_counter()
+for name in workloads.WORKLOADS:
+    op = workloads.op_list(name, 1, pools)[0]
+    if name in workloads.COLD:
+        workloads.clear_caches()
+    try:
+        output = workloads.run_op(op)
+    except Exception as exc:
+        report["failed"][name] = f"{type(exc).__name__}: {exc}"
+        continue
+    if "error" in output:  # a failed op, as the worker counts it
+        report["failed"][name] = output["error"]
+        continue
+    reason = check(op, output)
+    if reason is not None:
+        report["wrong"][name] = reason
+report["metrics"] = sorted(layers.metrics(tracer, time.perf_counter() - start))
+print(json.dumps(report))
+"""
+
+
+def test_traced_first_ops_pass_their_checks_and_emit_every_layer_metric():
+    # a hooked function whose result changes shape fails here, not only in a
+    # benchmark run
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_FIRST_OPS],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    # none of these three ops is in the factor pool's known-defect stratum
+    assert report["failed"] == {}
+    assert report["wrong"] == {}
+    declared = {entry["name"] for entry in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    # run.py derives trace.overhead_s from the traced and untraced passes
+    assert declared - {"trace.overhead_s"} <= set(report["metrics"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -79,6 +80,24 @@ def test_construct_duadic_verify(capsys):
     by_label = {item["label"]: item for item in doc["codes"]}
     assert by_label["E_1"]["verified"]["claims"]["self_dual"] is True
     assert by_label["E_2"]["verified"]["claims"]["self_dual"] is True
+
+
+def test_construct_duadic_certificate_from_a_splitting_witness(capsys):
+    # no negation-and-scaling map carries E_i onto its dual; the unit 3 does
+    rc, out, _ = run(
+        capsys,
+        "construct", "duadic", "--p", "13", "--e", "2", "--m", "17",
+        "--verify", "--budget", "0", "--json",
+    )
+    assert rc == 0
+    certificates = {
+        item["label"]: item["verified"].get("certificate") for item in json.loads(out)["codes"]
+    }
+    expected = {"a": 3, "lam": 1, "via": "multiplier_search"}
+    assert certificates == {
+        "C'_1": None, "C'_2": None, "D'_1": None, "D'_2": None,
+        "E_1": expected, "E_2": expected,
+    }
 
 
 def test_construct_thm510_z25(capsys):
@@ -270,6 +289,16 @@ def test_factor_high_order_length_is_bounded(p, n):
     assert elapsed < 10
     doc = json.loads(proc.stdout)
     assert sum(len(f["lifted"]) - 1 for f in doc["factors"]) == n
+
+
+def test_factor_with_a_unit_group_prime_above_2_63_is_bounded():
+    # ord_97(5) = 96 and Phi_96(5) = 97 x 240031591394168814433: is_prime
+    # proves that prime at once, where trial division ran for 50 s
+    proc, elapsed = _run_bounded(15, "factor", "--p", "5", "--e", "2", "--n", "97", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 15
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "cfaa6840889af825862f81e5029dc32bab3ba11957c4313c26aaa7ec4a75d547"
 
 
 def test_construct_large_ring_verify_is_bounded():

@@ -1,13 +1,20 @@
-import pytest
+from collections import Counter
+from math import gcd
 
+import pytest
+from test_weight_engine import family_codes
+
+from chaincodes.cli import build_construction
 from chaincodes.code import (
     Codeword,
     CyclicCode,
+    IsodualCertificate,
     LengthMismatch,
     NotADivisor,
     TooLarge,
     inner_product,
     search_equivalence,
+    search_multiplier_equivalence,
 )
 from chaincodes.exhaustive import (
     BudgetExceeded,
@@ -19,7 +26,7 @@ from chaincodes.exhaustive import (
     min_weight_residue,
 )
 from chaincodes.ring import RingSpec
-from chaincodes.ringpoly import RPoly, lifted_factorization, reciprocal
+from chaincodes.ringpoly import RPoly, lifted_factorization, nth_roots_of_unity, reciprocal
 
 Z9 = RingSpec(3, 2)
 Z4 = RingSpec(2, 2)
@@ -287,6 +294,48 @@ def test_certify_isodual_self_dual_gives_identity():
 
 def test_certify_isodual_whole_space_none():
     assert CyclicCode.whole_space(Z9, 5).certify_isodual() is None
+
+
+def two_pass_certificate(source, target):
+    """The reference search: the negation toolbox first, then every unit
+    multiplier in ascending order, each composed with every scaling."""
+    cert = search_equivalence(source, target)
+    if cert is not None or source.cardinality_log() != target.cardinality_log():
+        return cert
+    n = source.n
+    for a in [a for a in range(1, n) if gcd(a, n) == 1] or [1]:
+        image = source.apply_multiplier(a)
+        for lam in nth_roots_of_unity(n, source.spec):
+            if image.apply_scaling(lam) == target:
+                return IsodualCertificate(a, lam.value)
+    return None
+
+
+def test_one_pass_search_matches_the_two_pass_search():
+    codes = [
+        code
+        for spec in (Z4, RingSpec(2, 3), Z9, RingSpec(5, 2), RingSpec(3, 3))
+        for n in range(1, 12)
+        if n % spec.p
+        for code in family_codes(spec, n)
+    ]
+    # no code above needs a multiplier other than 1 and n - 1; E_1 and E_2
+    # over Z_169 of length 17 need the unit 3
+    codes += [entry.code for entry in build_construction("duadic", RingSpec(13, 2), 17, 1).codes]
+    hits = Counter()
+    for code in codes:
+        dual = code.dual()
+        cert = search_multiplier_equivalence(code, dual)
+        assert cert == two_pass_certificate(code, dual), (code.spec, code.n, code.F)
+        hits[None if cert is None else cert.a in (1, code.n - 1)] += 1
+    assert hits[True] > 100 and hits[False] == 2, hits
+
+
+def test_non_coprime_family_fails_the_product_check():
+    # monic members sharing the factor x - 1 multiply to (x - 1)^2, which is
+    # not the squarefree x^2 - 1
+    with pytest.raises(ValueError, match="family product"):
+        CyclicCode(Z9, 2, (z9(8, 1), z9(8, 1), RPoly.one(Z9)))
 
 
 def test_inner_product_and_orthogonality_small():

@@ -145,21 +145,19 @@ def test_duadic_dual_relations_reported():
 
 def test_duadic_residues_match_field_level_generators():
     # the lifted pair reduces to the products of the coset factors over F_p
-    from chaincodes.fieldpoly import FqPoly, factor_xn_minus_1
-    from chaincodes.ringpoly import lifted_factorization
+    from chaincodes.ringpoly import RPoly, lifted_factorization
 
     sp = find_splittings(11, 3)[0]
     g1, g2 = duadic_pair(11, Z9, sp)
     field = {t[0]: t[1] for t in lifted_factorization(11, Z9)}
-    f1 = FqPoly(3, (1,))
-    f2 = FqPoly(3, (1,))
+    f1 = f2 = RPoly.one(RingSpec(3, 1))
     for coset, factor in field.items():
         if set(coset) <= set(sp.s1):
             f1 = f1 * factor
         elif set(coset) <= set(sp.s2):
             f2 = f2 * factor
-    assert g1.reduce_mod_p() == f1
-    assert g2.reduce_mod_p() == f2
+    assert RPoly(RingSpec(3, 1), g1.coeffs) == f1
+    assert RPoly(RingSpec(3, 1), g2.coeffs) == f2
 
 
 def test_duadic_rejects_mismatched_splitting():

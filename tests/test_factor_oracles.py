@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 import sympy
 
+from chaincodes._modpoly import pdivmod
 from chaincodes.fieldpoly import (
-    FqPoly,
     _orbits,
     _unit_group_primes,
     factor_xn_minus_1,
@@ -25,8 +25,8 @@ from chaincodes.fieldpoly import (
     is_irreducible,
     ord_mod,
 )
-from chaincodes.ring import RingSpec, is_prime
-from chaincodes.ringpoly import lifted_factorization, nth_roots_of_unity
+from chaincodes.ring import PRIME_EXACT_BELOW, RingSpec, is_prime
+from chaincodes.ringpoly import RPoly, lifted_factorization, nth_roots_of_unity
 
 GOLDEN_DIGEST = "ed2aa249fe932be61f9b0e7d27474767b111dd4d2f652442a7c65a5b53db5261"
 GOLDEN_LIFT_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -96,13 +96,27 @@ def test_unit_group_primes_split_large_cofactors_in_bounded_time(p, s, second_la
 
 
 def test_is_prime_matches_sympy_on_strong_pseudoprimes():
-    # the least strong pseudoprimes to the first k prime bases, k = 1..11
-    # (all below 2**63): _unit_group_primes trusts is_prime on every cofactor
-    # below 2**63
+    # the least strong pseudoprimes to the first k prime bases, k = 1..12
+    # (all below psi_13): _unit_group_primes trusts is_prime on every cofactor
+    # below psi_13.  The last, psi_12, passes the first 12 bases; base 41
+    # proves it composite.
     for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-              341550071728321, 3825123056546413051):
-        assert n < 2**63
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert n < PRIME_EXACT_BELOW
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_unit_group_primes_trust_is_prime_below_psi_13():
+    # Phi_96(5) is 97 times the prime 240031591394168814433, which lies above
+    # 2^63; certifying it by trial division to its square root took 50 s
+    primes = _unit_group_primes(5, 96)
+    assert 240031591394168814433 in primes
+    rest = 5**96 - 1
+    for q in primes:
+        assert sympy.isprime(q), q
+        while rest % q == 0:
+            rest //= q
+    assert rest == 1
 
 
 def _monic_polys(p: int, degree: int):
@@ -115,10 +129,9 @@ def _brute_irreducible(poly: list[int], p: int) -> bool:
     s = len(poly) - 1
     if s < 1:
         return False
-    target = FqPoly(p, tuple(poly))
     for d in range(1, s // 2 + 1):
         for divisor in _monic_polys(p, d):
-            if target.divmod(FqPoly(p, tuple(divisor)))[1].is_zero():
+            if not pdivmod(poly, divisor, p)[1]:
                 return False
     return True
 
@@ -127,7 +140,8 @@ def test_is_irreducible_matches_brute_force():
     for p, max_degree in ((2, 5), (3, 5), (5, 3)):
         for degree in range(max_degree + 1):
             for poly in _monic_polys(p, degree):
-                assert is_irreducible(FqPoly(p, tuple(poly))) == _brute_irreducible(poly, p), (p, poly)
+                candidate = RPoly(RingSpec(p, 1), tuple(poly))
+                assert is_irreducible(candidate) == _brute_irreducible(poly, p), (p, poly)
 
 
 def _residue_scan_roots(p: int, e: int, n_max: int) -> dict[int, list[int]]:

@@ -2,8 +2,8 @@ from math import gcd
 
 import pytest
 
+from chaincodes._modpoly import pdivmod, pgcd
 from chaincodes.fieldpoly import (
-    FqPoly,
     Splitting,
     cyclotomic_cosets,
     factor_xn_minus_1,
@@ -12,10 +12,15 @@ from chaincodes.fieldpoly import (
     is_quadratic_residue,
     ord_mod,
 )
+from chaincodes.ring import RingSpec
+from chaincodes.ringpoly import RPoly
+
+F2 = RingSpec(2, 1)
+F3 = RingSpec(3, 1)
 
 
 def f3(*coeffs):
-    return FqPoly(3, tuple(coeffs))
+    return RPoly(F3, tuple(coeffs))
 
 
 def test_mul_example():
@@ -24,19 +29,19 @@ def test_mul_example():
 
 
 def test_gcd_example():
-    assert f3(2, 0, 1).gcd(f3(2, 1)) == f3(2, 1)
+    assert pgcd([2, 0, 1], [2, 1], 3) == [2, 1]
 
 
 def test_divmod_example():
     # x^3 + 2 = (x + 2)(x^2 + x + 1) over F_3
-    q, r = f3(2, 0, 0, 1).divmod(f3(2, 1))
+    q, r = f3(2, 0, 0, 1).divmod_monic(f3(2, 1))
     assert q == f3(1, 1, 1)
     assert r.is_zero()
 
 
 def test_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
-        f3(1, 1).divmod(f3())
+        pdivmod([1, 1], [], 3)
 
 
 def test_ord_mod():
@@ -93,10 +98,12 @@ def test_quadratic_residue_euler_criterion():
 
 
 def test_irreducibility():
-    assert is_irreducible(FqPoly(2, (1, 1, 1)))  # x^2 + x + 1
-    assert not is_irreducible(FqPoly(2, (1, 0, 1)))  # (x + 1)^2
-    assert is_irreducible(FqPoly(3, (1, 0, 1)))  # x^2 + 1, -1 not a square mod 3
-    assert not is_irreducible(FqPoly(3, (1, 2, 1)))  # (x + 1)^2
+    assert is_irreducible(RPoly(F2, (1, 1, 1)))  # x^2 + x + 1
+    assert not is_irreducible(RPoly(F2, (1, 0, 1)))  # (x + 1)^2
+    assert is_irreducible(f3(1, 0, 1))  # x^2 + 1, -1 not a square mod 3
+    assert not is_irreducible(f3(1, 2, 1))  # (x + 1)^2
+    with pytest.raises(ValueError):
+        is_irreducible(RPoly(RingSpec(3, 2), (1, 0, 1)))
 
 
 def test_factor_x11_minus_1_mod_3():
@@ -131,16 +138,18 @@ def test_factor_invariants(n, p):
     factors = factor_xn_minus_1(n, p)
     orbits = _orbits(n, p)
     assert len(factors) == len(orbits)
-    product = FqPoly(p, (1,))
+    field = RingSpec(p, 1)
+    product = RPoly.one(field)
     for f, orbit in zip(factors, orbits):
+        assert f.spec == field
         assert f.is_monic()
         assert f.degree == len(orbit)
         product = product * f
-    minus_one = FqPoly(p, tuple([p - 1] + [0] * (n - 1) + [1]))
+    minus_one = RPoly(field, tuple([p - 1] + [0] * (n - 1) + [1]))
     assert product == minus_one
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
-            assert factors[i].gcd(factors[j]) == FqPoly(p, (1,))
+            assert pgcd(list(factors[i].coeffs), list(factors[j].coeffs), p) == [1]
 
 
 def test_splittings_m11_q3():

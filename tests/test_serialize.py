@@ -2,15 +2,13 @@ import pytest
 
 from chaincodes.code import CyclicCode
 from chaincodes.constructions import thm42_isodual, verify_result
-from chaincodes.fieldpoly import FqPoly, find_splittings
+from chaincodes.fieldpoly import find_splittings
 from chaincodes.ring import RingSpec
 from chaincodes.ringpoly import RPoly
 from chaincodes.serialize import (
     SchemaError,
     code_from_json,
     code_to_json,
-    fqpoly_from_json,
-    fqpoly_to_json,
     poly_from_text,
     poly_to_text,
     result_from_json,
@@ -32,11 +30,6 @@ def test_ring_round_trip():
         ring_from_json({"p": 4, "e": 1})
     with pytest.raises(SchemaError):
         ring_from_json({"p": 3})
-
-
-def test_fqpoly_round_trip():
-    f = FqPoly(3, (2, 0, 1))
-    assert fqpoly_from_json(fqpoly_to_json(f)) == f
 
 
 def test_rpoly_round_trip():
