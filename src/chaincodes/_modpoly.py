@@ -223,10 +223,6 @@ class RPoly:
         q, r = pdivmod(list(self.coeffs), list(other.coeffs), self.spec.modulus)
         return RPoly(self.spec, tuple(q)), RPoly(self.spec, tuple(r))
 
-    def divides(self, other: "RPoly") -> bool:
-        """Exact monic divisibility: self | other."""
-        return other.divmod_monic(self)[1].is_zero()
-
     def monic(self) -> "RPoly":
         """Scale by the leading coefficient's inverse; leading must be a unit."""
         if self.is_zero():

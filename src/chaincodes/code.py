@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Optional
 
+from ._modpoly import pgcd
 from .ring import MismatchedRing, RElem, RingSpec
 from .ringpoly import (
     RPoly,
-    lifted_factorization,
+    hensel_lift_factorization,
+    multiplier_mod,
     nth_roots_of_unity,
     reciprocal,
     substitute_scaled,
@@ -50,9 +52,6 @@ class Codeword:
     def __post_init__(self) -> None:
         m = self.spec.modulus
         object.__setattr__(self, "entries", tuple(v % m for v in self.entries))
-
-    def weight(self) -> int:
-        return sum(1 for v in self.entries if v)
 
 
 def _canonical_codeword(spec: RingSpec, entries: tuple[int, ...]) -> Codeword:
@@ -171,14 +170,6 @@ class CyclicCode:
         assert remainder.is_zero()
         return quotient
 
-    def generators(self) -> list[RPoly]:
-        """The generators p^(i-1) * (x^n - 1)/F_i for i = 1..e."""
-        out = []
-        for i in range(1, self.spec.e + 1):
-            scale = self.spec.p ** (i - 1)
-            out.append(RPoly(self.spec, tuple(scale * c for c in self.cofactor(i).coeffs)))
-        return out
-
     def cardinality_log(self) -> int:
         """log_p of the number of codewords."""
         e = self.spec.e
@@ -264,23 +255,18 @@ class CyclicCode:
 
     def apply_multiplier(self, a: int) -> "CyclicCode":
         """The image under the coordinate permutation i -> a*i mod n, i.e.
-        c(x) -> c(x^a).  Each basic irreducible factor with root-exponent
-        coset K maps to the factor with coset a^(-1)*K."""
-        from math import gcd
-
-        if gcd(a, self.n) != 1:
-            raise ValueError(f"gcd({a}, {self.n}) != 1")
-        factors = lifted_factorization(self.n, self.spec)
-        by_min_rep = {coset[0]: lifted for coset, _, lifted in factors}
-        a_inv = pow(a, -1, self.n)
-        family = []
+        c(x) -> c(x^a).  A family is the unique Hensel lift of its residues
+        mod p, and over F_p the image of F_i is gcd(F_i(x^a) mod x^n - 1,
+        x^n - 1): the factor whose roots are the a-th roots of those of F_i."""
+        field = RingSpec(self.spec.p, 1)
+        whole = RPoly.xn_minus_1(field, self.n)
+        residues = []
         for f in self.F:
-            image = RPoly.one(self.spec)
-            for coset, _, lifted in factors:
-                if lifted.divides(f):
-                    target = min(a_inv * x % self.n for x in coset)
-                    image = image * by_min_rep[target]
-            family.append(image)
+            # the zero code's F_0 = x^n - 1 reduces to 0, whose image gcd is x^n - 1
+            reduced = RPoly(field, f.coeffs).divmod_monic(whole)[1]
+            image = multiplier_mod(reduced, a, self.n).coeffs
+            residues.append(RPoly(field, tuple(pgcd(list(image), list(whole.coeffs), field.p))))
+        family = hensel_lift_factorization(residues, self.n, self.spec)
         return CyclicCode(self.spec, self.n, tuple(family))
 
     # -- isoduality ---------------------------------------------------------

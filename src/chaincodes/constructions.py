@@ -248,39 +248,15 @@ def thm510_isodual(
     alpha = primitive_root_of_unity(2**a, spec)
     inv = spec.inverse(alpha.value)
     codes = _mixed_pair_codes(g1, g2, a, spec, n)
-    pure = {}
-    for i, gi in ((1, g1), (2, g2)):
+    for i, j, gi in ((1, 2, g1), (2, 1, g2)):
         parts = [(gi, pow(inv, k, spec.modulus)) for k in range(1, 2**a + 1)]
-        pure[(i, -1)] = _half_degree_generator(-1, parts, spec, n)
-        pure[(i, +1)] = _half_degree_generator(+1, parts, spec, n)
-    if splitting.given_by_mu_minus1:
-        for i in (1, 2):
-            codes.append(
-                ConstructedCode(
-                    f"C_{i}", CyclicCode.from_generator(pure[(i, -1)], n), ("isodual",)
-                )
-            )
-            codes.append(
-                ConstructedCode(
-                    f"C'_{i}", CyclicCode.from_generator(pure[(i, 1)], n), ("isodual",)
-                )
-            )
-    else:
-        for i, j in ((1, 2), (2, 1)):
-            codes.append(
-                ConstructedCode(
-                    f"C_{i}",
-                    CyclicCode.from_generator(pure[(i, -1)], n),
-                    (f"dual_equivalent_pair:C'_{j}",),
-                )
-            )
-            codes.append(
-                ConstructedCode(
-                    f"C'_{i}",
-                    CyclicCode.from_generator(pure[(i, 1)], n),
-                    (f"dual_equivalent_pair:C_{j}",),
-                )
-            )
+        for label, partner, sign in (("C", "C'", -1), ("C'", "C", +1)):
+            gen = _half_degree_generator(sign, parts, spec, n)
+            if splitting.given_by_mu_minus1:
+                claims = ("isodual",)
+            else:
+                claims = (f"dual_equivalent_pair:{partner}_{j}",)
+            codes.append(ConstructedCode(f"{label}_{i}", CyclicCode.from_generator(gen, n), claims))
     params = {
         "ring": ring_to_json(spec),
         "m": m,

@@ -30,6 +30,8 @@ from typing import Iterator
 import numpy as np
 
 from .code import Codeword, CyclicCode, TooLarge, ZeroCode, _canonical_codeword
+from .ring import RingSpec
+from .ringpoly import nth_roots_of_unity
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -132,12 +134,12 @@ def _equivalent_generators(gbar: tuple[int, ...], n: int, p: int) -> Iterator[tu
     """Monic generators of the cyclic codes that c(x) -> c(lam x), lam^n = 1,
     and the reversal of positions map <gbar> to.  These maps only scale and
     permute positions, so every such code has the weights of <gbar>."""
+    roots = [lam.value for lam in nth_roots_of_unity(n, RingSpec(p, 1))]
     for g in (gbar, gbar[::-1]):
-        for lam in range(1, p):
-            if pow(lam, n, p) == 1:
-                coeffs = [c * pow(lam, i, p) % p for i, c in enumerate(g)]
-                inv = pow(coeffs[-1], -1, p)
-                yield tuple(c * inv % p for c in coeffs)
+        for lam in roots:
+            coeffs = [c * pow(lam, i, p) % p for i, c in enumerate(g)]
+            inv = pow(coeffs[-1], -1, p)
+            yield tuple(c * inv % p for c in coeffs)
 
 
 def _parity_rows(gbar: tuple[int, ...], k: int, p: int) -> np.ndarray:

@@ -166,13 +166,10 @@ def primitive_root_of_unity(order: int, spec: RingSpec) -> RElem:
         return spec.element(1)
     if spec.p == 2 or (spec.p - 1) % order != 0:
         raise NoSuchRoot(f"p = {spec.p} is not 1 mod {order}")
-    candidates = []
-    for r in range(2, spec.p):
-        if pow(r, order, spec.p) == 1 and pow(r, order // 2, spec.p) != 1:
-            candidates.append(_newton_lift_root(r, order, spec))
-    if not candidates:
-        raise NoSuchRoot(f"no element of order {order} in F_{spec.p}")
-    return spec.element(min(candidates))
+    # order | p - 1, so nth_roots_of_unity lists the whole cyclic group of
+    # order-th roots, and the primitive ones are those whose half power is not 1
+    roots = nth_roots_of_unity(order, spec)
+    return next(r for r in roots if pow(r.value, order // 2, spec.modulus) != 1)
 
 
 def nth_roots_of_unity(n: int, spec: RingSpec) -> list[RElem]:

@@ -309,6 +309,24 @@ def test_construct_large_ring_verify_is_bounded():
     assert elapsed < 5
 
 
+def test_construct_with_a_large_prime_is_bounded():
+    # -1 = p^2 - 1 is the only primitive square root of unity mod p^2; a scan
+    # of 2..p - 1 for it, one Newton lift per candidate, ran past 60 s, and
+    # so did a test of every lam in 1..p - 1 in the weight engine
+    p = 1000000007
+    proc, elapsed = _run_bounded(
+        10, "construct", "thm42", "--p", str(p), "--e", "2", "--m", "3", "--a", "1",
+        "--verify", "--json",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 10
+    doc = json.loads(proc.stdout)
+    assert doc["params"]["alpha"] == p * p - 1 == 1000000014000000048
+    for entry in doc["codes"]:
+        assert entry["verified"]["certificate"] == {"a": 1, "lam": p * p - 1}
+        assert entry["verified"]["weight"] == 4
+
+
 def test_construct_thm44_rejects_high_degree_text():
     # g1 and g2 divide x^m - 1, so a term of degree m or more is invalid input;
     # the parser used to build a coefficient list as long as the degree

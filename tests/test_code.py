@@ -16,6 +16,7 @@ from chaincodes.code import (
     search_equivalence,
     search_multiplier_equivalence,
 )
+from chaincodes.constructions import all_claims_hold, verify_result
 from chaincodes.exhaustive import (
     BudgetExceeded,
     annihilator_count,
@@ -25,6 +26,7 @@ from chaincodes.exhaustive import (
     min_weight_direct,
     min_weight_residue,
 )
+from chaincodes.fieldpoly import factor_xn_minus_1
 from chaincodes.ring import RingSpec
 from chaincodes.ringpoly import RPoly, lifted_factorization, nth_roots_of_unity, reciprocal
 
@@ -262,6 +264,59 @@ def test_multiplier_matches_coordinate_action():
     image = code.apply_multiplier(3)
     expected = {tuple(w.entries[3 * i % 4] for i in range(4)) for w in code.codewords()}
     assert {w.entries for w in image.codewords()} == expected
+
+
+def multiplier_by_cosets(code, a):
+    """The reference image: each basic irreducible factor dividing F_i, with
+    root-exponent coset K, maps to the factor with coset a^(-1) K."""
+    factors = lifted_factorization(code.n, code.spec)
+    by_min_rep = {coset[0]: lifted for coset, _, lifted in factors}
+    a_inv = pow(a, -1, code.n)
+    family = []
+    for f in code.F:
+        image = RPoly.one(code.spec)
+        for coset, _, lifted in factors:
+            if f.divmod_monic(lifted)[1].is_zero():
+                image = image * by_min_rep[min(a_inv * x % code.n for x in coset)]
+        family.append(image)
+    return CyclicCode(code.spec, code.n, tuple(family))
+
+
+def test_multiplier_matches_the_coset_image_on_every_small_code():
+    images = 0
+    for spec in (Z4, RingSpec(2, 3), Z9, RingSpec(5, 2), RingSpec(3, 3)):
+        for n in range(1, 12):
+            if n % spec.p == 0:
+                continue
+            units = [a for a in range(1, n) if gcd(a, n) == 1] or [1]
+            for code in family_codes(spec, n):
+                for a in units:
+                    assert code.apply_multiplier(a) == multiplier_by_cosets(code, a), (
+                        spec, n, a, code.F,
+                    )
+                    images += 1
+    assert images > 10_000
+
+
+@pytest.mark.parametrize("a", [0, 2, 5, 12])
+def test_apply_multiplier_rejects_a_non_unit(a):
+    code = CyclicCode.from_generator(z9(8, 1) * z9(1, 1), 10)
+    with pytest.raises(ValueError, match="gcd"):
+        code.apply_multiplier(a)
+
+
+def test_verification_does_not_factor():
+    # C'_12 of thm44 over Z_169 with n = 46 is certified by a = 45 = n - 1
+    # and lam = 168; that multiplier image used to factor x^46 - 1
+    result = build_construction("thm44", RingSpec(13, 2), 23, 1)
+    factor_xn_minus_1.cache_clear()
+    lifted_factorization.cache_clear()
+    reports = verify_result(result, budget=0)
+    assert all_claims_hold(reports)
+    assert reports["C'_12"]["certificate"] == {"a": 45, "lam": 168}
+    for cached in (factor_xn_minus_1, lifted_factorization):
+        info = cached.cache_info()
+        assert info.hits + info.misses == 0, cached
 
 
 def test_weight_invariance_under_maps():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from chaincodes.code import CyclicCode
 from chaincodes.fieldpoly import factor_xn_minus_1
 from chaincodes.ring import NotAUnit, RingSpec
 from chaincodes.ringpoly import (
@@ -190,6 +191,24 @@ def test_hensel_reduction_matches_inputs():
         assert product == RPoly.xn_minus_1(spec, n)
 
 
+def test_hensel_lift_recovers_code_families():
+    # a code's family is the unique lift of its residues mod p, members 1
+    # and x^n - 1 included
+    x_minus_1 = z9(8, 1)
+    Z27 = RingSpec(3, 3)
+    g27 = [f for _, _, f in lifted_factorization(11, Z27)]
+    codes = [
+        CyclicCode.zero(Z9, 11),
+        CyclicCode.whole_space(Z9, 11),
+        CyclicCode.from_two_stage(x_minus_1 * G1_Z9, G1_Z9, 1, 11),
+        CyclicCode.zero(Z27, 11),
+        CyclicCode.from_two_stage(g27[0] * g27[1], g27[1], 2, 11),
+    ]
+    for code in codes:
+        residues = [mod_p(f) for f in code.F]
+        assert hensel_lift_factorization(residues, 11, code.spec) == list(code.F)
+
+
 def test_hensel_lift_order_independent():
     inputs = list(factor_xn_minus_1(11, 3))
     forward = hensel_lift_factorization(inputs, 11, Z9)
@@ -223,7 +242,15 @@ def test_primitive_root_examples():
 
 
 def test_primitive_root_brute_force_agreement():
-    for spec, order in ((Z9, 2), (Z25, 2), (Z25, 4), (RingSpec(13, 2), 4), (RingSpec(17, 1), 16)):
+    for spec, order in (
+        (Z9, 2),
+        (Z25, 2),
+        (Z25, 4),
+        (RingSpec(13, 2), 4),
+        (RingSpec(17, 1), 16),
+        (RingSpec(97, 2), 32),
+        (RingSpec(257, 2), 256),
+    ):
         alpha = primitive_root_of_unity(order, spec)
         m = spec.modulus
         brute = min(

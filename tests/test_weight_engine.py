@@ -205,6 +205,19 @@ def test_step_minima_match_word_by_word_sums(p, k, r, tabulated, monkeypatch):
     assert checked >= 4
 
 
+def equivalent_generators_by_scan(gbar, n, p):
+    """The reference set: gbar and its reversal scaled by every lam in
+    1..p - 1 with lam^n = 1, made monic."""
+    out = set()
+    for g in (gbar, gbar[::-1]):
+        for lam in range(1, p):
+            if pow(lam, n, p) == 1:
+                coeffs = [c * pow(lam, i, p) % p for i, c in enumerate(g)]
+                inv = pow(coeffs[-1], -1, p)
+                out.add(tuple(c * inv % p for c in coeffs))
+    return out
+
+
 @pytest.mark.parametrize("p, e, n_max", [(2, 2, 9), (3, 2, 10), (5, 2, 6)])
 def test_equivalent_torsion_codes_share_the_weight(p, e, n_max):
     field = RingSpec(p, 1)
@@ -215,9 +228,11 @@ def test_equivalent_torsion_codes_share_the_weight(p, e, n_max):
             if code.is_zero_code() or p ** code.cardinality_log() > 10**4:
                 continue
             gbar, _ = _torsion_generator(code)
+            generators = set(_equivalent_generators(gbar, n, p))
+            assert generators == equivalent_generators_by_scan(gbar, n, p)
             weights = {
                 min_weight_direct(CyclicCode.from_generator(RPoly(field, g), n)).weight
-                for g in _equivalent_generators(gbar, n, p)
+                for g in generators
             }
             assert weights == {min_weight_direct(code).weight}
 
