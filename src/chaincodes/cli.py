@@ -70,6 +70,9 @@ def _int_list(text: str) -> list[int]:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.e)
+    if args.n < 1:
+        print(f"error: length must be positive, got {args.n}", file=sys.stderr)
+        return EXIT_INVALID
     if gcd(args.n, spec.p) != 1:
         print(f"error: p = {spec.p} divides n = {args.n}", file=sys.stderr)
         return EXIT_INVALID

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from math import gcd
 from typing import Iterator, Optional
 
 from ._modpoly import pgcd
@@ -255,17 +256,9 @@ class CyclicCode:
 
     def apply_multiplier(self, a: int) -> "CyclicCode":
         """The image under the coordinate permutation i -> a*i mod n, i.e.
-        c(x) -> c(x^a).  A family is the unique Hensel lift of its residues
-        mod p, and over F_p the image of F_i is gcd(F_i(x^a) mod x^n - 1,
-        x^n - 1): the factor whose roots are the a-th roots of those of F_i."""
+        c(x) -> c(x^a): the Hensel lift of the image of its residue family."""
         field = RingSpec(self.spec.p, 1)
-        whole = RPoly.xn_minus_1(field, self.n)
-        residues = []
-        for f in self.F:
-            # the zero code's F_0 = x^n - 1 reduces to 0, whose image gcd is x^n - 1
-            reduced = RPoly(field, f.coeffs).divmod_monic(whole)[1]
-            image = multiplier_mod(reduced, a, self.n).coeffs
-            residues.append(RPoly(field, tuple(pgcd(list(image), list(whole.coeffs), field.p))))
+        residues = [_multiplier_residue(RPoly(field, f.coeffs), a, self.n) for f in self.F]
         family = hensel_lift_factorization(residues, self.n, self.spec)
         return CyclicCode(self.spec, self.n, tuple(family))
 
@@ -296,8 +289,6 @@ def search_multiplier_equivalence(
     search_equivalence certifies gets the same certificate.  Any hit is
     still a monomial (hence weight-preserving) equivalence; the wider search
     catches pairs related by a splitting witness rather than by negation."""
-    from math import gcd
-
     n = source.n
     negation = [n - 1] if n > 2 else []
     others = [a for a in range(2, n - 1) if gcd(a, n) == 1]
@@ -307,15 +298,37 @@ def search_multiplier_equivalence(
 def _search_maps(
     source: CyclicCode, target: CyclicCode, multipliers: list[int]
 ) -> Optional[IsodualCertificate]:
+    """The first (a, lam), in the given multiplier order and ascending lam,
+    with phi_lam(mu_a(source)) = target.  A family over Z_{p^e} is the unique
+    Hensel lift of its residues mod p, so the image equals the target exactly
+    when their residue families agree over F_p; no image code is built."""
     if source.spec != target.spec or source.n != target.n:
         raise MismatchedRing("codes live in different ambient spaces")
-    if source.cardinality_log() != target.cardinality_log():
+    # monomial maps keep the degree of every family member
+    if [f.degree for f in source.F] != [f.degree for f in target.F]:
         return None
-    roots = nth_roots_of_unity(source.n, source.spec)
+    n, field = source.n, RingSpec(source.spec.p, 1)
+    residues, wanted = ([RPoly(field, f.coeffs) for f in code.F] for code in (source, target))
+    # the n-th roots of unity of Z_{p^e} map one-to-one onto those of F_p
+    roots = nth_roots_of_unity(n, source.spec)
+    scales = [field.element(lam.value) for lam in roots]
     for a in multipliers:
-        image = source if a == 1 else source.apply_multiplier(a)
-        for lam in roots:
-            if image.apply_scaling(lam) == target:
-                return IsodualCertificate(a=a, lam=lam.value)
+        # the lams under which every member so far agrees
+        alive = range(len(roots))
+        for f, g in zip(residues, wanted):
+            if alive:
+                image = f if a == 1 else _multiplier_residue(f, a, n)
+                alive = [k for k in alive
+                         if substitute_scaled(image, scales[k], normalize_monic=True) == g]
+        if alive:
+            return IsodualCertificate(a=a, lam=roots[alive[0]].value)
     return None
 
+
+def _multiplier_residue(f: RPoly, a: int, n: int) -> RPoly:
+    """The image over F_p of a residue f under x -> x^a: gcd(f(x^a) mod
+    x^n - 1, x^n - 1), the factor whose roots are the a-th roots of those of f."""
+    whole = RPoly.xn_minus_1(f.spec, n)
+    # the zero code's F_0 = x^n - 1 reduces to 0, whose image gcd is x^n - 1
+    image = multiplier_mod(f.divmod_monic(whole)[1], a, n)
+    return RPoly(f.spec, tuple(pgcd(list(image.coeffs), list(whole.coeffs), f.spec.p)))

@@ -47,6 +47,13 @@ def test_factor_rejects_shared_prime(capsys):
     assert "divides" in err
 
 
+def test_factor_rejects_zero_length(capsys):
+    # 0 is divisible by every p, so the length check must come first
+    rc, _, err = run(capsys, "factor", "--p", "3", "--e", "2", "--n", "0")
+    assert rc == 2
+    assert "length must be positive, got 0" in err
+
+
 def test_factor_rejects_composite_p(capsys):
     rc, _, err = run(capsys, "factor", "--p", "6", "--e", "1", "--n", "5")
     assert rc == 2
@@ -337,3 +344,20 @@ def test_construct_thm44_rejects_high_degree_text():
     assert proc.returncode == 2, proc.stderr
     assert "degree above 10" in proc.stderr
     assert elapsed < 10
+
+
+def test_search_sweep_golden_digest(tmp_path):
+    # the canonical 768-record sweep, in a fresh interpreter; its records
+    # are pinned byte for byte, 104 of them with a weight the budget leaves open
+    out = tmp_path / "sweep.jsonl"
+    proc, _ = _run_bounded(
+        120, "search", "--p", "3,5,13", "--e", "2,3", "--m-max", "25", "--a", "1,2",
+        "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = out.read_bytes()
+    rows = [json.loads(line) for line in data.splitlines()]
+    assert len(rows) == 768
+    assert sum(row["verified"]["weight"] is None for row in rows) == 104
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == "bacf4bc7d8bef410469848ecd9ce877b005f337cd33fc3b3e6428b2b36b309e3"

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from test_weight_engine import family_codes
 
+from chaincodes import code as code_module
 from chaincodes.cli import build_construction
 from chaincodes.code import (
     Codeword,
@@ -305,18 +306,38 @@ def test_apply_multiplier_rejects_a_non_unit(a):
         code.apply_multiplier(a)
 
 
-def test_verification_does_not_factor():
+def test_verification_does_not_factor(monkeypatch):
     # C'_12 of thm44 over Z_169 with n = 46 is certified by a = 45 = n - 1
-    # and lam = 168; that multiplier image used to factor x^46 - 1
-    result = build_construction("thm44", RingSpec(13, 2), 23, 1)
-    factor_xn_minus_1.cache_clear()
-    lifted_factorization.cache_clear()
-    reports = verify_result(result, budget=0)
-    assert all_claims_hold(reports)
-    assert reports["C'_12"]["certificate"] == {"a": 45, "lam": 168}
-    for cached in (factor_xn_minus_1, lifted_factorization):
-        info = cached.cache_info()
-        assert info.hits + info.misses == 0, cached
+    # and lam = 168, and E_1 of duadic with n = 17 by the unit a = 3.  The
+    # search compares residue families, so it builds, lifts and factors no
+    # image: the only codes made are the one dual per code
+    def no_lift(*args):
+        raise AssertionError("the certificate search lifted an image family")
+
+    built = []
+    post_init = CyclicCode.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    expected = [("thm44", 23, 1, "C'_12", {"a": 45, "lam": 168})]
+    expected += [("duadic", 17, None, "E_1", {"a": 3, "lam": 1, "via": "multiplier_search"})]
+    for kind, m, a, label, certificate in expected:
+        result = build_construction(kind, RingSpec(13, 2), m, a)
+        factor_xn_minus_1.cache_clear()
+        lifted_factorization.cache_clear()
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(code_module, "hensel_lift_factorization", no_lift)
+            patch.setattr(CyclicCode, "__post_init__", counted)
+            reports = verify_result(result, budget=0)
+        assert all_claims_hold(reports)
+        assert reports[label]["certificate"] == certificate
+        assert len(built) == len(result.codes)
+        for cached in (factor_xn_minus_1, lifted_factorization):
+            info = cached.cache_info()
+            assert info.hits + info.misses == 0, cached
 
 
 def test_weight_invariance_under_maps():
@@ -351,39 +372,72 @@ def test_certify_isodual_whole_space_none():
     assert CyclicCode.whole_space(Z9, 5).certify_isodual() is None
 
 
-def two_pass_certificate(source, target):
-    """The reference search: the negation toolbox first, then every unit
-    multiplier in ascending order, each composed with every scaling."""
-    cert = search_equivalence(source, target)
-    if cert is not None or source.cardinality_log() != target.cardinality_log():
-        return cert
-    n = source.n
-    for a in [a for a in range(1, n) if gcd(a, n) == 1] or [1]:
-        image = source.apply_multiplier(a)
-        for lam in nth_roots_of_unity(n, source.spec):
-            if image.apply_scaling(lam) == target:
-                return IsodualCertificate(a, lam.value)
-    return None
+class ImageCodeSearch:
+    """The reference search on image codes over Z_{p^e}: the first (a, lam),
+    a in 1, n - 1, then the other units ascending, with
+    source.apply_multiplier(a).apply_scaling(lam) == target.  Images are
+    kept per source and multiplier."""
+
+    def __init__(self, source):
+        n = source.n
+        self.source = source
+        self.units = [1] + [n - 1] * (n > 2) + [a for a in range(2, n - 1) if gcd(a, n) == 1]
+        self.roots = nth_roots_of_unity(n, source.spec)
+        self.images = {1: source}
+
+    def search(self, target):
+        if self.source.cardinality_log() != target.cardinality_log():
+            return None
+        for a in self.units:
+            if a not in self.images:
+                self.images[a] = self.source.apply_multiplier(a)
+            for lam in self.roots:
+                image = self.images[a]
+                if (image if lam.value == 1 else image.apply_scaling(lam)) == target:
+                    return IsodualCertificate(a, lam.value)
+        return None
 
 
-def test_one_pass_search_matches_the_two_pass_search():
-    codes = [
-        code
+def test_residue_search_matches_the_image_code_search():
+    by_ring = [
+        list(family_codes(spec, n))
         for spec in (Z4, RingSpec(2, 3), Z9, RingSpec(5, 2), RingSpec(3, 3))
         for n in range(1, 12)
         if n % spec.p
-        for code in family_codes(spec, n)
     ]
     # no code above needs a multiplier other than 1 and n - 1; E_1 and E_2
     # over Z_169 of length 17 need the unit 3
-    codes += [entry.code for entry in build_construction("duadic", RingSpec(13, 2), 17, 1).codes]
-    hits = Counter()
-    for code in codes:
-        dual = code.dual()
-        cert = search_multiplier_equivalence(code, dual)
-        assert cert == two_pass_certificate(code, dual), (code.spec, code.n, code.F)
-        hits[None if cert is None else cert.a in (1, code.n - 1)] += 1
+    by_ring.append([entry.code for entry in build_construction("duadic", RingSpec(13, 2), 17, 1).codes])
+    hits, unrelated = Counter(), Counter()
+    for codes in by_ring:
+        by_size = {}
+        for code in codes:
+            by_size.setdefault(code.cardinality_log(), []).append(code)
+        for code in codes:
+            degrees = [f.degree for f in code.F]
+            reference, dual = ImageCodeSearch(code), code.dual()
+            dual_cert = reference.search(dual)
+            hits[None if dual_cert is None else dual_cert.a in (1, code.n - 1)] += 1
+            # the dual, and the first other code of the same size that no map
+            # carries the code onto, preferring one of the same member degrees
+            targets = [(dual, dual_cert)]
+            same_size = sorted(
+                (other for other in by_size[code.cardinality_log()] if other is not code),
+                key=lambda other: [f.degree for f in other.F] != degrees,
+            )
+            for other in same_size:
+                if reference.search(other) is None:
+                    targets.append((other, None))
+                    unrelated[[f.degree for f in other.F] == degrees] += 1
+                    break
+            for target, wide in targets:
+                # search_equivalence tries the multipliers 1 and n - 1 only
+                narrow = wide if wide is None or wide.a in (1, code.n - 1) else None
+                assert search_multiplier_equivalence(code, target) == wide, (code.F, target.F)
+                assert search_equivalence(code, target) == narrow, (code.F, target.F)
     assert hits[True] > 100 and hits[False] == 2, hits
+    # equal-size targets that pass the degree test, and some that fail it
+    assert unrelated[True] > 1000 and unrelated[False] > 100, unrelated
 
 
 def test_non_coprime_family_fails_the_product_check():
