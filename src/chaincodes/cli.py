@@ -209,6 +209,7 @@ def cmd_weight(args: argparse.Namespace) -> int:
         doc = {
             "status": "budget_exceeded",
             "weight": None,
+            "lower_bound": exc.lower_bound,
             "upper_bound": exc.upper_bound,
             "enumerated": exc.enumerated,
         }

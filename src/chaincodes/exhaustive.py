@@ -17,13 +17,20 @@ nonzeros on each of the n windows, hence weight >= ceil(n (w + 1) / k); the
 first half of layer w already proves ceil(w n / (k - 1)) (see _steps).  It
 stops when the bound meets the best weight seen, and starts a half layer
 only when the half fits in what is left of the budget.
+
+Within a half layer each support is a head (its lead position and the next
+(w - 1) // 2) and a tail (the rest), and the words are the pairs whose head
+ends before the tail starts: a staircase of rectangles.  Head sums and
+negated tail sums are each computed once per half layer, the smaller table
+whole and the larger _BLOCK columns at a time, so memory stays near a few
+blocks however large the step (see _step_minima).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice, repeat
+from itertools import combinations, repeat
 from math import comb
 from typing import Iterator
 
@@ -194,76 +201,84 @@ def _steps(n: int, k: int, p: int) -> list[_Step]:
     return steps
 
 
-def _supports(k: int, step: _Step) -> Iterator[tuple[int, ...]]:
-    if step.lead:
-        return ((0, *rest) for rest in combinations(range(1, k), step.w - 1))
-    return combinations(range(1, k), step.w)
-
-
-# Multiples c * row_j for every digit c are tabulated up to this many
-# entries; past it (large p) they are computed per block.
-_TABLE_ENTRIES = 1 << 22
-
-
 def _step_minima(parity: np.ndarray, step: _Step, p: int) -> Iterator[tuple[int, int]]:
     """(words, least redundancy weight) per block of at most _BLOCK of the
     step's projective messages (first nonzero digit 1).
 
-    Meet in the middle: the lead row and the first h = (w - 1) // 2 other
-    digits give a partial sum P1, the other digits a negated partial sum
-    P2, and a word's redundancy part is zero exactly where P1 == P2, so a
-    word costs one byte comparison per position.  Partial sums stay below p
-    in unsigned ints, where x mod p = min(x, x - p) for x < 2p - 1."""
+    Meet in the middle on a staircase of supports: a support's head is its
+    lead position and the next h = (w - 1) // 2, its tail the other
+    t = w - 1 - h.  A word's redundancy part is zero exactly where its head
+    sum P1 (lead digit 1) equals its negated tail sum P2, so a word costs
+    one comparison per position.  A head ending at b pairs with the tails
+    starting after b.  The smaller of the two tables is built whole and cut
+    into rectangles, one per end (or start), each paired with a run at one
+    end of the larger table; the larger is built _BLOCK columns at a time,
+    each column once.  Consecutive rectangles share a block while their
+    bounding box fits in one, and every block is masked to the pairs that
+    meet."""
     k, r = parity.shape
-    w, h = step.w, (step.w - 1) // 2
-    low = np.uint8 if p <= 128 else np.uint16 if p <= 2**15 else np.uint64
-    if r * k * p <= _TABLE_ENTRIES:
-        # column j * p + c of tables[sign] holds sign * c * row_j mod p
-        scaled = np.arange(p)[None, :, None] * parity[:, None, :]
-        tables = {sign: (sign * scaled % p).astype(low).reshape(k * p, r).T.copy() for sign in (1, -1)}
+    h = (step.w - 1) // 2
+    t = step.w - 1 - h
+    if not step.words:
+        return
+    # every sum below adds at most w products c * row_j < p^2
+    _check_numpy_safe(p, [p] * step.w)
+    acc_type = np.min_scalar_type(step.w * (p - 1) ** 2)
+    low, count = np.min_scalar_type(p - 1), np.min_scalar_type(r)
+    lead = (0,) if step.lead else ()
+    heads = [(*lead, *c) for c in combinations(range(1, k - t), h + 1 - len(lead))]
+    heads = np.array(heads, dtype=np.intp)
+    heads = heads[np.argsort(heads[:, -1], kind="stable")]  # by end; tails are by start
+    tails = list(combinations(range(h + 2 - step.lead, k), t))
+    tails = np.array(tails, dtype=np.intp).reshape(len(tails), t)
+    d1 = (_digit_block(0, (p - 1) ** h, [1] + [p - 1] * h) + 1).astype(acc_type)  # the lead digit is 1
+    d2 = (_digit_block(0, (p - 1) ** t, [p - 1] * t) + 1).astype(acc_type)
+    # each side is (rows, sets, digits, key of each set), and a pair meets
+    # where head end < tail start (the empty tail starts at k)
+    small = (parity.T.astype(acc_type), heads, d1, heads[:, -1])
+    large = ((-parity.T % p).astype(acc_type), tails, d2, tails[:, 0] if t else np.array([k]))
+    if len(heads) * len(d1) > len(tails) * len(d2):  # reversed, keys negated: small key < large key
+        small, large = ((rows, sets[::-1], d, -keys[::-1]) for rows, sets, d, keys in (large, small))
 
-        def multiples(sign: int, rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
-            return np.take(tables[sign], rows * p + digits, axis=1)
+    def sums(side: tuple, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Columns lo..hi-1 of a side's table, where column set * len(digits) + d
+        holds sum_j digits[d, j] * rows[sets[set, j]] mod p, and their keys."""
+        rows, sets, digits, keys = side
+        s, d = np.divmod(np.arange(lo, hi), len(digits))
+        acc = np.zeros((r, hi - lo), acc_type)
+        for j in range(sets.shape[1]):
+            term = rows[:, sets[s, j]]
+            term *= digits[d, j]
+            acc += term
+        acc %= acc_type.type(p)
+        return acc.astype(low), keys[s]
 
-    else:
-        parity_t = parity.T.copy()
-
-        def multiples(sign: int, rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
-            return (sign * np.take(parity_t, rows, axis=1) * digits % p).astype(low)
-
-    def partial(sign: int, sup: np.ndarray, cols: range, digits: np.ndarray, inner: bool) -> np.ndarray:
-        """Sum over the columns, shaped (r, classes, supports) if inner else
-        (r, supports, classes)."""
-        acc = np.zeros((r, 1, len(sup)) if inner else (r, len(sup), 1), dtype=low)
-        for t, col in enumerate(cols):
-            if inner:
-                acc = acc + multiples(sign, sup[None, :, col], digits[:, t, None])
-            else:
-                acc = acc + multiples(sign, sup[:, col, None], digits[None, :, t])
-            np.minimum(acc, acc - low(p), out=acc)
-        return acc
-
-    d1 = _digit_block(0, (p - 1) ** h, [p - 1] * h) + 1
-    d1 = np.hstack((np.ones((len(d1), 1), np.int64), d1))  # the lead digit is 1
-    d2 = _digit_block(0, (p - 1) ** (w - 1 - h), [p - 1] * (w - 1 - h)) + 1
-    c1, c2 = len(d1), len(d2)
-    supports = _supports(k, step)
-    per = max(1, _BLOCK // (c1 * c2))
-    while (flat := np.fromiter(chain.from_iterable(islice(supports, per)), np.intp)).size:
-        sup = flat.reshape(-1, w)
-        span2 = min(c2, _BLOCK)
-        span1 = max(1, _BLOCK // (len(sup) * span2))
-        inner = span2 < len(sup)  # compare along the longer axis
-        q1 = partial(1, sup, range(h + 1), d1, inner)
-        q2 = partial(-1, sup, range(h + 1, w), d2, inner)
-        for i in range(0, c1, span1):
-            for j in range(0, c2, span2):
-                if inner:  # (r, c1, c2, supports)
-                    eq = q1[:, i : i + span1, None, :] == q2[:, None, j : j + span2, :]
-                else:  # (r, supports, c1, c2)
-                    eq = q1[:, :, i : i + span1, None] == q2[:, :, None, j : j + span2]
-                zeros = eq.sum(axis=0, dtype=np.int16)
-                yield zeros.size, r - int(zeros.max())
+    q, x = sums(small, 0, len(small[1]) * len(small[2]))
+    m = len(large[1]) * len(large[2])  # columns of the larger table
+    first = np.searchsorted(large[3], x, side="right") * len(large[2])  # the first partner of each
+    cuts = [0, *(np.flatnonzero(x[1:] != x[:-1]) + 1).tolist(), len(x)]  # one rectangle each
+    groups: list[list[int]] = []  # columns lo..hi-1 of q
+    for lo, hi in zip(cuts, cuts[1:]):
+        if groups and (hi - groups[-1][0]) * (m - first[groups[-1][0]]) <= _BLOCK:
+            groups[-1][1] = hi  # the bounding box still fits in one block
+        else:
+            groups.append([lo, hi])
+    for j0 in range(0, m, _BLOCK):
+        chunk, y = sums(large, j0, min(j0 + _BLOCK, m))
+        j1 = j0 + len(y)
+        for lo, hi in groups:
+            f = max(first[lo], j0)
+            if f >= j1:  # and so for every later group
+                break
+            height = max(1, _BLOCK // (j1 - f))
+            for i in range(lo, hi, height):
+                cols = slice(i, min(i + height, hi))
+                a, b, ka, kb = q[:, cols], chunk[:, f - j0 :], x[cols], y[f - j0 :]
+                if a.shape[1] > b.shape[1]:  # the longer side innermost
+                    a, b, ka, kb = b, a, -kb, -ka
+                meet = ka[:, None] < kb[None, :]
+                zeros = (a[:, :, None] == b[:, None, :]).view(np.uint8).sum(axis=0, dtype=count)
+                yield int(np.count_nonzero(meet)), r - int((zeros * meet).max())
 
 
 def min_weight_residue(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
@@ -278,7 +293,7 @@ def min_weight_residue(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> Weight
     run."""
     gbar, _ = _torsion_generator(code)
     n, p = code.n, code.spec.p
-    _check_numpy_safe(p, [p])  # the tables hold products c * row_j < p^2
+    _check_numpy_safe(p, [p])  # rejects, before any step, a p whose w = 1 sums overflow
     lower, upper, scanned = _torsion_weight(min(_equivalent_generators(gbar, n, p)), n, p, budget)
     if lower < upper:
         raise BudgetExceeded(

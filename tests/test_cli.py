@@ -199,6 +199,7 @@ def test_weight_budget_exceeded_counts_whole_blocks(tmp_path, capsys):
             assert rc == 4
             assert json.loads(out) == {
                 "enumerated": enumerated,
+                "lower_bound": 1,  # direct enumeration proves no lower bound
                 "status": "budget_exceeded",
                 "upper_bound": 5,
                 "weight": None,

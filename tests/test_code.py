@@ -283,19 +283,30 @@ def multiplier_by_cosets(code, a):
     return CyclicCode(code.spec, code.n, tuple(family))
 
 
-def test_multiplier_matches_the_coset_image_on_every_small_code():
-    images = 0
+@pytest.fixture(scope="module")
+def small_code_images():
+    """Every code of length n < 12 over Z_4, Z_8, Z_9, Z_25 and Z_27, one
+    list per ring and length, each code with its multiplier image for every
+    unit of Z_n.  Built once: the two oracle tests below share them."""
+    groups = []
     for spec in (Z4, RingSpec(2, 3), Z9, RingSpec(5, 2), RingSpec(3, 3)):
         for n in range(1, 12):
             if n % spec.p == 0:
                 continue
             units = [a for a in range(1, n) if gcd(a, n) == 1] or [1]
-            for code in family_codes(spec, n):
-                for a in units:
-                    assert code.apply_multiplier(a) == multiplier_by_cosets(code, a), (
-                        spec, n, a, code.F,
-                    )
-                    images += 1
+            groups.append(
+                [(code, {a: code.apply_multiplier(a) for a in units}) for code in family_codes(spec, n)]
+            )
+    return groups
+
+
+def test_multiplier_matches_the_coset_image_on_every_small_code(small_code_images):
+    images = 0
+    for group in small_code_images:
+        for code, by_unit in group:
+            for a, image in by_unit.items():
+                assert image == multiplier_by_cosets(code, a), (code.spec, code.n, a, code.F)
+                images += 1
     assert images > 10_000
 
 
@@ -376,14 +387,14 @@ class ImageCodeSearch:
     """The reference search on image codes over Z_{p^e}: the first (a, lam),
     a in 1, n - 1, then the other units ascending, with
     source.apply_multiplier(a).apply_scaling(lam) == target.  Images are
-    kept per source and multiplier."""
+    kept per source and multiplier; `images` may hold some built before."""
 
-    def __init__(self, source):
+    def __init__(self, source, images=()):
         n = source.n
         self.source = source
         self.units = [1] + [n - 1] * (n > 2) + [a for a in range(2, n - 1) if gcd(a, n) == 1]
         self.roots = nth_roots_of_unity(n, source.spec)
-        self.images = {1: source}
+        self.images = {**dict(images), 1: source}
 
     def search(self, target):
         if self.source.cardinality_log() != target.cardinality_log():
@@ -398,24 +409,19 @@ class ImageCodeSearch:
         return None
 
 
-def test_residue_search_matches_the_image_code_search():
-    by_ring = [
-        list(family_codes(spec, n))
-        for spec in (Z4, RingSpec(2, 3), Z9, RingSpec(5, 2), RingSpec(3, 3))
-        for n in range(1, 12)
-        if n % spec.p
-    ]
+def test_residue_search_matches_the_image_code_search(small_code_images):
+    by_ring = list(small_code_images)
     # no code above needs a multiplier other than 1 and n - 1; E_1 and E_2
     # over Z_169 of length 17 need the unit 3
-    by_ring.append([entry.code for entry in build_construction("duadic", RingSpec(13, 2), 17, 1).codes])
+    by_ring.append([(entry.code, {}) for entry in build_construction("duadic", RingSpec(13, 2), 17, 1).codes])
     hits, unrelated = Counter(), Counter()
-    for codes in by_ring:
+    for group in by_ring:
         by_size = {}
-        for code in codes:
+        for code, _ in group:
             by_size.setdefault(code.cardinality_log(), []).append(code)
-        for code in codes:
+        for code, images in group:
             degrees = [f.degree for f in code.F]
-            reference, dual = ImageCodeSearch(code), code.dual()
+            reference, dual = ImageCodeSearch(code, images), code.dual()
             dual_cert = reference.search(dual)
             hits[None if dual_cert is None else dual_cert.a in (1, code.n - 1)] += 1
             # the dual, and the first other code of the same size that no map

@@ -8,23 +8,23 @@ every half layer's bound against the true weight, and its budget contract.
 """
 
 import json
-from itertools import product
+import tracemalloc
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from chaincodes import exhaustive
 from chaincodes.cli import build_construction, main
 from chaincodes.code import CyclicCode
 from chaincodes.constructions import ConstructedCode, ConstructionResult, verify_result
 from chaincodes.exhaustive import (
+    _BLOCK,
     DEFAULT_BUDGET,
     BudgetExceeded,
     _equivalent_generators,
     _parity_rows,
     _step_minima,
     _steps,
-    _supports,
     _torsion_generator,
     enumeration_cost,
     min_hamming_weight,
@@ -127,6 +127,43 @@ def test_two_stage_length23_weights_match_full_torsion_enumeration():
         assert report.enumerated < 265_720
 
 
+# The torsion classes of the canonical 768-record sweep that the default
+# budget leaves open, with the bounds the engine proves on them, and the two
+# heaviest classes it settles: (kind, p, m, a, label, n, lower, upper), all
+# over Z_(p^2).  The sweep's golden digest pins only their null weights.
+SWEEP_BOUNDS = [
+    ("thm44", 13, 17, 1, "C'_12", 34, 9, 12),
+    ("thm44", 13, 17, 1, "C'_21", 34, 9, 12),
+    ("thm44", 13, 23, 1, "C'_12", 46, 8, 16),
+    ("thm510", 13, 23, 1, "C'_1", 46, 8, 10),
+    ("thm44", 13, 17, 2, "C'_12", 68, 8, 12),
+    ("thm44", 13, 17, 2, "C'_21", 68, 8, 12),
+    ("thm510", 13, 17, 2, "C'_1", 68, 8, 9),
+    ("thm510", 13, 17, 2, "C'_2", 68, 8, 9),
+    ("thm44", 5, 19, 2, "C'_12", 76, 9, 11),
+    ("thm44", 13, 23, 2, "C'_12", 92, 7, 18),
+    ("thm510", 13, 23, 2, "C'_1", 92, 7, 10),
+    ("thm44", 3, 23, 1, "C'_12", 46, 13, 13),
+    ("thm44", 5, 19, 1, "C'_12", 38, 11, 11),
+]
+
+
+def test_engine_bounds_on_the_sweeps_hardest_classes():
+    built = {}
+    for kind, p, m, a, label, n, lower, upper in SWEEP_BOUNDS:
+        if (kind, p, m, a) not in built:
+            built[kind, p, m, a] = build_construction(kind, RingSpec(p, 2), m, a)
+        code = built[kind, p, m, a].by_label(label)
+        assert code.n == n
+        if lower == upper:
+            assert min_weight_residue(code).weight == upper
+            continue
+        with pytest.raises(BudgetExceeded) as info:
+            min_weight_residue(code)
+        assert (info.value.lower_bound, info.value.upper_bound) == (lower, upper), (kind, p, m, a, label)
+        assert info.value.enumerated <= DEFAULT_BUDGET
+
+
 def zero_budget_reports(code: CyclicCode) -> dict:
     result = ConstructionResult("probe", {}, [ConstructedCode("C", code, ())])
     return verify_result(result, budget=0)["C"]
@@ -176,33 +213,87 @@ def test_verify_reports_weights_the_a_priori_count_could_not_promise():
 
 
 def step_by_brute_force(parity: np.ndarray, step, p: int) -> tuple[int, int]:
-    """(words, least redundancy weight) of a half layer, one word at a time."""
+    """(words, least redundancy weight) of a half layer, one word at a time:
+    the lead half's supports hold digit 0, the other half's do not."""
     k, r = parity.shape
+    if step.lead:
+        supports = [(0, *rest) for rest in combinations(range(1, k), step.w - 1)]
+    else:
+        supports = list(combinations(range(1, k), step.w))
     words, least = 0, r + 1
-    for support in _supports(k, step):
+    for support in supports:
         for digits in product(range(1, p), repeat=step.w - 1):
             word = parity[support[0]] + sum(c * parity[j] for j, c in zip(support[1:], digits))
             words, least = words + 1, min(least, int(np.count_nonzero(word % p)))
     return words, least
 
 
-@pytest.mark.parametrize("tabulated", [True, False])
-@pytest.mark.parametrize("p, k, r", [(2, 7, 6), (3, 6, 7), (5, 5, 6), (13, 4, 5), (257, 3, 4)])
-def test_step_minima_match_word_by_word_sums(p, k, r, tabulated, monkeypatch):
-    if not tabulated:  # the large-p path: multiples computed per block
-        monkeypatch.setattr(exhaustive, "_TABLE_ENTRIES", 0)
-    parity = np.random.default_rng(p).integers(0, p, (k, r))
-    checked = 0
-    for step in _steps(k + r, k, p):
-        if step.words > 2000:
-            continue
+# p = 2 has one digit class; k = 1 and 2 have only the shortest steps, and the
+# w = 1 steps of every case have no tail.  Past k = 2 some heads end where no
+# tail fits.  Past p = 2^16 the sums run in uint64 and the tables in uint32:
+# 65537 reaches a step whose products pass 2^32, 2^31 - 1 (near the largest p
+# the engine takes) only the w = 1 steps.
+@pytest.mark.parametrize("collide", [True, False])
+@pytest.mark.parametrize(
+    "p, k, r",
+    [(2, 7, 6), (3, 6, 7), (5, 5, 6), (13, 4, 5), (257, 3, 4), (3, 1, 4), (5, 2, 3),
+     (65537, 2, 3), (2**31 - 1, 2, 3)],
+)
+def test_step_minima_match_word_by_word_sums(p, k, r, collide):
+    rng = np.random.default_rng(p)
+    parity = rng.integers(0, p, (k, r))
+    if collide:  # multiples of one row: head and tail sums agree often, down to weight 0
+        parity = rng.integers(0, p, (k, 1)) * parity[0] % p
+    checked = [step for step in _steps(k + r, k, p) if step.words <= 70_000]
+    for step in checked:
         blocks = list(_step_minima(parity, step, p))
         words = sum(count for count, _ in blocks)
         least = min((m for _, m in blocks), default=r + 1)
         assert (words, least) == step_by_brute_force(parity, step, p), step
         assert words == step.words
-        checked += 1
-    assert checked >= 4
+    assert sum(step.w == 1 for step in checked) == 2
+    assert len(checked) >= min(4, k + 1)
+
+
+def step_by_numpy(parity: np.ndarray, step, p: int) -> tuple[int, int]:
+    """(words, least redundancy weight) of a half layer: every support from
+    itertools.combinations, its words summed a few supports at a time."""
+    k, r = parity.shape
+    lead = (0,) if step.lead else ()
+    rest = combinations(range(1, k), step.w - len(lead))
+    supports = np.array([(*lead, *c) for c in rest]).reshape(-1, step.w)
+    digits = np.array([(1, *d) for d in product(range(1, p), repeat=step.w - 1)])
+    least = r + 1
+    per = max(1, 2**21 // (len(digits) * r))
+    for sup in (supports[i : i + per] for i in range(0, len(supports), per)):
+        words = sum(digits[None, :, j, None] * parity[sup[:, j]][:, None, :] for j in range(step.w))
+        least = min(least, int(np.count_nonzero(words % p, axis=2).min()))
+    return len(supports) * len(digits), least
+
+
+# Steps of up to 30 times _BLOCK words, each held to the memory of four
+# r x _BLOCK uint64 arrays: 65537 has one step of 29 * 65536 words, whose tail
+# table alone would take r * 4 bytes per word; the F_3 steps break their
+# staircases into many rectangles and blocks.
+@pytest.mark.parametrize("p, k, r, most", [(65537, 30, 30, 2_000_000), (3, 20, 20, 400_000)])
+def test_step_minima_memory_stays_near_a_few_blocks(p, k, r, most):
+    parity = np.random.default_rng(k).integers(0, p, (k, r))
+    checked = 0
+    for step in _steps(k + r, k, p):
+        if not 0 < step.words <= most:
+            continue
+        tracemalloc.start()
+        try:
+            blocks = list(_step_minima(parity, step, p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        words = sum(count for count, _ in blocks)
+        least = min(m for _, m in blocks)
+        assert (words, least) == step_by_numpy(parity, step, p), step
+        assert peak < 4 * r * _BLOCK * 8, (step, peak)
+        checked += step.words > _BLOCK
+    assert checked >= 1
 
 
 def equivalent_generators_by_scan(gbar, n, p):
@@ -263,3 +354,8 @@ def test_weight_text_reports_both_bounds_on_overrun(tmp_path, capsys):
     assert rc == 4
     lower, _, upper = out.split(" (")[0].partition(" <= minimum weight <= ")
     assert 1 <= int(lower) <= 8 <= int(upper)
+    # --json carries the same bounds; the window bound has passed 1 here
+    rc, out = run(capsys, "weight", str(path), "--budget", "100", "--json")
+    assert rc == 4
+    doc = json.loads(out)
+    assert (doc["lower_bound"], doc["upper_bound"]) == (int(lower), int(upper)) == (5, 8)
