@@ -11,9 +11,11 @@ self-duality and isoduality checks exact and cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from math import gcd
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from ._modpoly import pgcd
 from .ring import MismatchedRing, RElem, RingSpec
@@ -258,8 +260,8 @@ class CyclicCode:
         """The image under the coordinate permutation i -> a*i mod n, i.e.
         c(x) -> c(x^a): the Hensel lift of the image of its residue family."""
         field = RingSpec(self.spec.p, 1)
-        residues = [_multiplier_residue(RPoly(field, f.coeffs), a, self.n) for f in self.F]
-        family = hensel_lift_factorization(residues, self.n, self.spec)
+        residues = [_residue_images(RPoly(field, f.coeffs), a, self.n)[1] for f in self.F]
+        family = hensel_lift_factorization([RPoly(field, r) for r in residues], self.n, self.spec)
         return CyclicCode(self.spec, self.n, tuple(family))
 
     # -- isoduality ---------------------------------------------------------
@@ -307,28 +309,37 @@ def _search_maps(
     # monomial maps keep the degree of every family member
     if [f.degree for f in source.F] != [f.degree for f in target.F]:
         return None
-    n, field = source.n, RingSpec(source.spec.p, 1)
+    n, p = source.n, source.spec.p
+    field = RingSpec(p, 1)
     residues, wanted = ([RPoly(field, f.coeffs) for f in code.F] for code in (source, target))
-    # the n-th roots of unity of Z_{p^e} map one-to-one onto those of F_p
-    roots = nth_roots_of_unity(n, source.spec)
-    scales = [field.element(lam.value) for lam in roots]
+    # the n-th roots of unity of Z_{p^e} map one-to-one onto those of F_p,
+    # though not in the same order
+    roots = [lam.value for lam in nth_roots_of_unity(n, source.spec)]
     for a in multipliers:
         # the lams under which every member so far agrees
-        alive = range(len(roots))
+        alive = roots
         for f, g in zip(residues, wanted):
             if alive:
-                image = f if a == 1 else _multiplier_residue(f, a, n)
-                alive = [k for k in alive
-                         if substitute_scaled(image, scales[k], normalize_monic=True) == g]
+                images = _residue_images(f, a, n)
+                alive = [lam for lam in alive if images[lam % p] == g.coeffs]
         if alive:
-            return IsodualCertificate(a=a, lam=roots[alive[0]].value)
+            return IsodualCertificate(a=a, lam=alive[0])
     return None
 
 
-def _multiplier_residue(f: RPoly, a: int, n: int) -> RPoly:
-    """The image over F_p of a residue f under x -> x^a: gcd(f(x^a) mod
-    x^n - 1, x^n - 1), the factor whose roots are the a-th roots of those of f."""
-    whole = RPoly.xn_minus_1(f.spec, n)
-    # the zero code's F_0 = x^n - 1 reduces to 0, whose image gcd is x^n - 1
-    image = multiplier_mod(f.divmod_monic(whole)[1], a, n)
-    return RPoly(f.spec, tuple(pgcd(list(image.coeffs), list(whole.coeffs), f.spec.p)))
+@lru_cache(maxsize=1024)
+def _residue_images(f: RPoly, a: int, n: int) -> Mapping[int, tuple[int, ...]]:
+    """The coefficients of the monic images phi_lam(mu_a(f)) of a monic
+    divisor f of x^n - 1 over F_p, keyed by every n-th root of unity lam of
+    F_p.  mu_a(f) is gcd(f(x^a) mod x^n - 1, x^n - 1), the factor whose
+    roots are the a-th roots of those of f."""
+    image = f
+    if a != 1:
+        whole = RPoly.xn_minus_1(f.spec, n)
+        # the zero code's F_0 = x^n - 1 reduces to 0, whose image gcd is x^n - 1
+        image = multiplier_mod(f.divmod_monic(whole)[1], a, n)
+        image = RPoly(f.spec, tuple(pgcd(list(image.coeffs), list(whole.coeffs), f.spec.p)))
+    return MappingProxyType({
+        lam.value: substitute_scaled(image, lam, normalize_monic=True).coeffs
+        for lam in nth_roots_of_unity(n, f.spec)
+    })

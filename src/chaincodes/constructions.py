@@ -116,11 +116,10 @@ def thm42_isodual(m: int, a: int, spec: RingSpec) -> ConstructionResult:
 
 
 def _mixed_pair_codes(
-    g1: RPoly, g2: RPoly, a: int, spec: RingSpec, n: int
+    g1: RPoly, g2: RPoly, a: int, inv: int, spec: RingSpec, n: int
 ) -> list[ConstructedCode]:
-    """The four mixed-product codes C_ij / C'_ij (i != j)."""
-    alpha = primitive_root_of_unity(2**a, spec)
-    inv = spec.inverse(alpha.value)
+    """The four mixed-product codes C_ij / C'_ij (i != j); inv is the inverse
+    of the primitive 2^a-th root of unity."""
     half = 2 ** (a - 1)
     out = []
     for i, j, gi, gj in ((1, 2, g1, g2), (2, 1, g2, g1)):
@@ -152,6 +151,7 @@ def thm44_isodual(
         raise ValueError("(x - 1) * g1 * g2 is not x^m - 1")
     n = 2**a * m
     alpha = primitive_root_of_unity(2**a, spec)
+    inv = spec.inverse(alpha.value)
     params = {
         "ring": ring_to_json(spec),
         "m": m,
@@ -162,7 +162,7 @@ def thm44_isodual(
         "g2": list(g2.coeffs),
     }
     return ConstructionResult(
-        kind="thm44", params=params, codes=_mixed_pair_codes(g1, g2, a, spec, n)
+        kind="thm44", params=params, codes=_mixed_pair_codes(g1, g2, a, inv, spec, n)
     )
 
 
@@ -247,7 +247,7 @@ def thm510_isodual(
     n = 2**a * m
     alpha = primitive_root_of_unity(2**a, spec)
     inv = spec.inverse(alpha.value)
-    codes = _mixed_pair_codes(g1, g2, a, spec, n)
+    codes = _mixed_pair_codes(g1, g2, a, inv, spec, n)
     for i, j, gi in ((1, 2, g1), (2, 1, g2)):
         parts = [(gi, pow(inv, k, spec.modulus)) for k in range(1, 2**a + 1)]
         for label, partner, sign in (("C", "C'", -1), ("C'", "C", +1)):

@@ -36,9 +36,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .code import Codeword, CyclicCode, TooLarge, ZeroCode, _canonical_codeword
+from .code import Codeword, CyclicCode, TooLarge, ZeroCode, _canonical_codeword, _residue_images
 from .ring import RingSpec
-from .ringpoly import nth_roots_of_unity
+from .ringpoly import RPoly
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -135,18 +135,6 @@ def _torsion_generator(code: CyclicCode) -> tuple[tuple[int, ...], int]:
         raise ZeroCode("the zero code has no nonzero codeword")
     gbar = tuple(c % code.spec.p for c in code.F[0].coeffs)
     return gbar, code.n - len(gbar) + 1
-
-
-def _equivalent_generators(gbar: tuple[int, ...], n: int, p: int) -> Iterator[tuple[int, ...]]:
-    """Monic generators of the cyclic codes that c(x) -> c(lam x), lam^n = 1,
-    and the reversal of positions map <gbar> to.  These maps only scale and
-    permute positions, so every such code has the weights of <gbar>."""
-    roots = [lam.value for lam in nth_roots_of_unity(n, RingSpec(p, 1))]
-    for g in (gbar, gbar[::-1]):
-        for lam in roots:
-            coeffs = [c * pow(lam, i, p) % p for i, c in enumerate(g)]
-            inv = pow(coeffs[-1], -1, p)
-            yield tuple(c * inv % p for c in coeffs)
 
 
 def _parity_rows(gbar: tuple[int, ...], k: int, p: int) -> np.ndarray:
@@ -288,13 +276,16 @@ def min_weight_residue(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> Weight
     seen (Brouwer-Zimmermann).  A step runs only when it fits in what is
     left of the budget, so no more than `budget` words are enumerated; when
     the next step does not fit, BudgetExceeded carries the bounds proven so
-    far.  Codes with equivalent torsion codes (_equivalent_generators), as
-    the codes over Z_(p^2) and Z_(p^3) of one search often are, share one
-    run."""
+    far.  Codes whose torsion codes one scaling c(x) -> c(lam x), lam^n = 1,
+    with or without the reversal of positions mu_(n-1), maps onto each
+    other, as the codes over Z_(p^2) and Z_(p^3) of one search often are,
+    share one run: these maps only scale and permute positions."""
     gbar, _ = _torsion_generator(code)
     n, p = code.n, code.spec.p
     _check_numpy_safe(p, [p])  # rejects, before any step, a p whose w = 1 sums overflow
-    lower, upper, scanned = _torsion_weight(min(_equivalent_generators(gbar, n, p)), n, p, budget)
+    residue = RPoly(RingSpec(p, 1), gbar)
+    key = min(g for a in (1, n - 1) for g in _residue_images(residue, a, n).values())
+    lower, upper, scanned = _torsion_weight(key, n, p, budget)
     if lower < upper:
         raise BudgetExceeded(
             f"torsion-code enumeration needs more than budget {budget}",
@@ -378,9 +369,12 @@ def min_hamming_weight(
 # ---------------------------------------------------------------------------
 
 
-def _half_tables(code: CyclicCode) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Meet-in-the-middle tables: keys encode the generator-row inner products
-    of every left-half and (negated) right-half vector over Z_{p^e}."""
+def _half_tables(code: CyclicCode) -> tuple[np.ndarray, ...]:
+    """The meet-in-the-middle join over Z_{p^e}: a left and a right half
+    make an annihilator word when their keys (the generator-row inner
+    products of the left one, negated for the right one) agree.  Returns
+    both halves, their stable key orders and, per left vector in key order,
+    the run [lo, lo + count) of right vectors in key order with its key."""
     m = code.spec.modulus
     rows = np.array(code.generator_matrix(), dtype=np.int64).reshape(-1, code.n)
     r = rows.shape[0]
@@ -391,36 +385,27 @@ def _half_tables(code: CyclicCode) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     weights = m ** np.arange(r, dtype=np.int64)
 
     left = _digit_block(0, m**n_left, [m] * n_left)
-    left_sums = (left @ rows[:, :n_left].T) % m
-    left_keys = left_sums @ weights
-
+    left_keys = ((left @ rows[:, :n_left].T) % m) @ weights
     right = _digit_block(0, m**n_right, [m] * n_right)
-    right_sums = (-(right @ rows[:, n_left:].T)) % m
-    right_keys = right_sums @ weights
-    return left, left_keys, right, right_keys
+    right_keys = ((-(right @ rows[:, n_left:].T)) % m) @ weights
+
+    order_l = np.argsort(left_keys, kind="stable")
+    order_r = np.argsort(right_keys, kind="stable")
+    sorted_l, sorted_r = left_keys[order_l], right_keys[order_r]
+    lo = np.searchsorted(sorted_r, sorted_l, side="left")
+    counts = np.searchsorted(sorted_r, sorted_l, side="right") - lo
+    return left, right, order_l, order_r, lo, counts
 
 
 def annihilator_count(code: CyclicCode) -> int:
     """|{v : [v, w] = 0 for every w in C}| by exhaustive split enumeration."""
-    _, left_keys, _, right_keys = _half_tables(code)
-    ul, cl = np.unique(left_keys, return_counts=True)
-    ur, cr = np.unique(right_keys, return_counts=True)
-    _, il, ir = np.intersect1d(ul, ur, return_indices=True)
-    return int(np.sum(cl[il] * cr[ir]))
+    return int(_half_tables(code)[-1].sum())
 
 
 def annihilator_vectors(code: CyclicCode, limit: int = 500_000) -> list[Codeword]:
     """The annihilator as explicit codewords; refuses to materialize more
     than `limit` vectors."""
-    left, left_keys, right, right_keys = _half_tables(code)
-    order_l = np.argsort(left_keys, kind="stable")
-    order_r = np.argsort(right_keys, kind="stable")
-    sorted_l = left_keys[order_l]
-    sorted_r = right_keys[order_r]
-    # each left vector, in key order, pairs with the run [lo, lo + count) of
-    # right vectors with its key
-    lo = np.searchsorted(sorted_r, sorted_l, side="left")
-    counts = np.searchsorted(sorted_r, sorted_l, side="right") - lo
+    left, right, order_l, order_r, lo, counts = _half_tables(code)
     total = int(counts.sum())
     if total > limit:
         raise TooLarge(f"annihilator has {total} vectors, limit {limit}")

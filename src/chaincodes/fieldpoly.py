@@ -363,11 +363,13 @@ def find_splittings(m: int, q: int) -> list[Splitting]:
     """All splittings modulo m for the q-cyclotomic cosets, canonically
     ordered (S_1 contains the coset of 1; list sorted lexicographically by S_1).
 
-    The search walks every unit multiplier a: a splitting with witness a
-    exists iff the permutation induced by a on the nonzero cosets has only
-    even cycles, and the alternating assignments along each cycle enumerate
-    all of them.  Returns [] when no splitting exists, in particular when
-    q is not a square mod m.
+    A splitting with witness a exists iff the permutation induced by the
+    unit a on the nonzero cosets has only even cycles, and the alternating
+    assignments along each cycle enumerate all of them.  The units a and
+    a*q induce the same permutation, so the search walks one witness per
+    coset, its least member, in ascending order: each splitting keeps the
+    least witness of the walk over every unit.  Returns [] when no splitting
+    exists, in particular when q is not a square mod m.
     """
     if m % 2 == 0:
         raise ValueError(f"modulus must be odd, got {m}")
@@ -378,8 +380,8 @@ def find_splittings(m: int, q: int) -> list[Splitting]:
     cosets = [tuple(c) for c in _orbits(m, q) if c != [0]]
     index = {x: i for i, c in enumerate(cosets) for x in c}
     found: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for a in range(2, m):
-        if gcd(a, m) != 1:
+    for a in (c[0] for c in cosets):  # ascending, as _orbits lists them
+        if a == 1 or gcd(a, m) != 1:
             continue
         perm = [index[a * c[0] % m] for c in cosets]
         seen = [False] * len(cosets)

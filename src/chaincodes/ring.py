@@ -128,12 +128,6 @@ class RElem:
         self._check(other)
         return RElem(self.value * other.value % self.spec.modulus, self.spec)
 
-    def __neg__(self) -> "RElem":
-        return RElem(-self.value % self.spec.modulus, self.spec)
-
-    def __pow__(self, exponent: int) -> "RElem":
-        return RElem(pow(self.value, exponent, self.spec.modulus), self.spec)
-
     def __str__(self) -> str:
         return str(self.value)
 

@@ -14,8 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
-from chaincodes.code import Codeword, CyclicCode  # noqa: E402
+from chaincodes.code import Codeword, CyclicCode, _residue_images  # noqa: E402
 from chaincodes.ring import RingSpec  # noqa: E402
+from chaincodes.ringpoly import RPoly  # noqa: E402
 from perfbench import layers, make_pools, workloads  # noqa: E402
 
 
@@ -40,6 +41,14 @@ def test_every_traced_hook_resolves(monkeypatch):
     words = CyclicCode.zero(RingSpec(3, 2), 4).codewords()
     assert words == [Codeword(RingSpec(3, 2), (0, 0, 0, 0))]
     assert words[0].entries == (0, 0, 0, 0)
+
+
+def test_clear_caches_forgets_the_residue_images():
+    # cold ops must not read images that an earlier op computed
+    _residue_images(RPoly(RingSpec(3, 1), (2, 1)), 1, 4)
+    assert _residue_images.cache_info().currsize
+    workloads.clear_caches()
+    assert _residue_images.cache_info().currsize == 0
 
 
 def test_workloads_and_make_pools_import():

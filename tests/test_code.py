@@ -351,6 +351,25 @@ def test_verification_does_not_factor(monkeypatch):
             assert info.hits + info.misses == 0, cached
 
 
+def test_each_residue_image_is_computed_once(monkeypatch):
+    # every C_ij / C'_ij of thm44 over Z_169 with n = 46 maps its residues
+    # by a = 45 = n - 1; a second verification reads them all from the cache
+    result = build_construction("thm44", RingSpec(13, 2), 23, 1)
+    gcds, pgcd = [], code_module.pgcd
+
+    def counted(*args):
+        gcds.append(args)
+        return pgcd(*args)
+
+    code_module._residue_images.cache_clear()
+    monkeypatch.setattr(code_module, "pgcd", counted)
+    first = verify_result(result)
+    assert gcds
+    gcds.clear()
+    assert verify_result(result) == first
+    assert gcds == []
+
+
 def test_weight_invariance_under_maps():
     code = CyclicCode.from_generator(z9(8, 1) * z9(1, 1), 4)
     base = min_weight_direct(code).weight

@@ -1,3 +1,4 @@
+from itertools import product
 from math import gcd
 
 import pytest
@@ -197,6 +198,59 @@ def test_splitting_existence_matches_square_criterion():
             if gcd(m, q) != 1:
                 continue
             assert bool(find_splittings(m, q)) == is_quadratic_residue(q, m)
+
+
+def splittings_over_every_unit(m, q):
+    """The reference search: find_splittings as it was when it tried every
+    unit a in 2..m-1 as a witness, on cosets computed here."""
+    cosets = sorted({tuple(sorted({x * pow(q, k, m) % m for k in range(m)})) for x in range(1, m)})
+    index = {x: i for i, c in enumerate(cosets) for x in c}
+    found = {}
+    for a in range(2, m):
+        if gcd(a, m) != 1:
+            continue
+        perm = [index[a * c[0] % m] for c in cosets]
+        cycles, seen = [], set()
+        for i in range(len(cosets)):
+            cycle = []
+            while i not in seen:
+                seen.add(i)
+                cycle.append(i)
+                i = perm[i]
+            if cycle:
+                cycles.append(cycle)
+        if any(len(c) % 2 for c in cycles):
+            continue
+        for flips in product((0, 1), repeat=len(cycles)):
+            sides = (set(), set())
+            for flip, cycle in zip(flips, cycles):
+                for pos, ci in enumerate(cycle):
+                    sides[(pos + flip) % 2].update(cosets[ci])
+            s1, s2 = (tuple(sorted(side)) for side in sides)
+            if 1 in s2:
+                s1, s2 = s2, s1
+            found.setdefault((s1, s2), a)
+    return [Splitting(m, q, s1, s2, a) for (s1, s2), a in sorted(found.items())]
+
+
+def test_one_witness_per_coset_finds_what_every_unit_finds():
+    def outcome(search, m, q):
+        try:
+            return search(m, q)
+        except ValueError as exc:  # a splitting that negation neither swaps nor fixes
+            return str(exc)
+
+    cases, raised, split = 0, 0, 0
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for m in range(1, 100, 2):
+            if gcd(m, q) != 1 or len(cyclotomic_cosets(m, q).cosets) > 15:  # 14 nonzero
+                continue
+            expected = outcome(splittings_over_every_unit, m, q)
+            assert outcome(find_splittings, m, q) == expected, (m, q)
+            cases += 1
+            raised += isinstance(expected, str)
+            split += isinstance(expected, list) and bool(expected)
+    assert (cases, raised, split) == (465, 11, 129)
 
 
 def test_splitting_validation():
