@@ -91,22 +91,6 @@ def pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     return pmonic(a, p)
 
 
-def pxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """Extended gcd over F_p: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = pnorm(a, p), pnorm(b, p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1, p), p)
-        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
-    if r0 and r0[-1] != 1:
-        inv = pow(r0[-1], -1, p)
-        r0, s0, t0 = pscale(r0, inv, p), pscale(s0, inv, p), pscale(t0, inv, p)
-    return r0, s0, t0
-
-
 class PolyModulus:
     """Multiplication modulo a fixed polynomial `mod` of degree >= 1 (unit
     leading coefficient) and the integer m, on Kronecker-packed integers.

@@ -8,9 +8,11 @@ s is the multiplicative order of p mod n.  This keeps the factor <-> coset
 correspondence explicit, which the rest of the library relies on.
 
 Every step is deterministic: F_{p^s} is built on the first irreducible in
-encoding order (found with Ben-Or's test), and the root of unity comes from
-its smallest multiplicative generator, found after factoring the group
-order p^s - 1 as the product of the cyclotomic values Phi_d(p), d | s.
+encoding order (Ben-Or's test, behind sieves for candidates with a root in
+F_p and for binomials), and the root of unity comes from its smallest
+multiplicative generator, found after factoring the group order p^s - 1 as
+the product of the cyclotomic values Phi_d(p), d | s.  Duadic splittings are
+searched on bitmasks over the cosets.
 """
 
 from __future__ import annotations
@@ -146,15 +148,24 @@ def _rho_factor(n: int) -> int | None:
     return None
 
 
-def _trial_primes(value: int, d: int) -> set[int]:
-    """Distinct prime divisors of a divisor of Phi_d(p) by exact trial division:
-    such a prime divides d or is 1 mod d.  Stops early once the cofactor left
-    is a prime in the exact range of is_prime."""
+# Trial divisors _trial_primes tries on one piece before it gives up, about
+# 0.3 s of work; on the test and benchmark inputs it never gets past one.
+_TRIAL_STEPS = 1 << 21
+
+
+def _trial_primes(value: int, d: int, p: int, s: int) -> set[int]:
+    """Distinct prime divisors of a divisor of Phi_d(p), d | s, by exact trial
+    division: such a prime divides d or is 1 mod d.  Stops early once the
+    cofactor left is a prime in the exact range of is_prime, and raises
+    ValueError after _TRIAL_STEPS divisors rather than take it as prime."""
     primes = set()
     prime_left = _known_prime(value)
-    for c in itertools.chain(prime_factors(d), itertools.count(d + 1, d)):
+    for step, c in enumerate(itertools.chain(prime_factors(d), itertools.count(d + 1, d))):
         if prime_left or c * c > value:
             break
+        if step == _TRIAL_STEPS:
+            raise ValueError(f"cannot factor p^s - 1 for (p, s) = ({p}, {s}): its piece {value} "
+                             f"is neither split by rho nor proven prime by {step} trial divisions")
         if value % c == 0:
             primes.add(c)
             while value % c == 0:
@@ -190,7 +201,7 @@ def _unit_group_primes(p: int, s: int) -> list[int]:
             # piece composite, and True only sends it to trial division
             factor = None if is_prime(piece) else _rho_factor(piece)
             if factor is None:
-                primes |= _trial_primes(piece, d)
+                primes |= _trial_primes(piece, d, p, s)
             else:
                 pieces += [factor, piece // factor]
     return sorted(primes)
@@ -218,20 +229,37 @@ def is_irreducible(poly: RPoly) -> bool:
     return True
 
 
+# find_irreducible sieves out the candidates with a nonzero root in F_p only
+# for p below this, so that a large p costs no O(p) work per run of p codes.
+_ROOT_SIEVE_BELOW = 256
+
+
 def find_irreducible(p: int, s: int) -> RPoly:
     """First monic irreducible of degree s over F_p, scanning the lower
-    coefficients in constant-first base-p encoding order."""
+    coefficients in constant-first base-p encoding order.  A candidate of
+    degree s >= 2 with a root is reducible, so it is skipped before Ben-Or's
+    test: in a run of p codes sharing the upper part u, c_0 + x*u(x) has the
+    root a iff c_0 = -a*u(a), so one evaluation per a marks the run."""
     field = RingSpec(p, 1)
     if s == 1:
         return RPoly(field, (0, 1))
-    for code in range(p**s):
-        coeffs, v = [], code
-        for _ in range(s):
-            coeffs.append(v % p)
-            v //= p
-        cand = RPoly(field, tuple(coeffs + [1]))
-        if is_irreducible(cand):
-            return cand
+    # x^s - a is irreducible only if every prime factor of s divides p - 1 and
+    # p = 1 mod 4 when 4 | s (Lidl & Niederreiter, Theorem 3.75); if not, the
+    # first run, the binomials, holds no irreducible and is skipped
+    binomials = all((p - 1) % r == 0 for r in prime_factors(s)) and (s % 4 or p % 4 == 1)
+    for high in range(0 if binomials else 1, p ** (s - 1)):
+        upper = [high // p**j % p for j in range(s - 1)] + [1]
+        rooted = {0}
+        for a in range(1, p if p < _ROOT_SIEVE_BELOW else 1):
+            value = 0
+            for c in reversed(upper):
+                value = (value * a + c) % p
+            rooted.add(-a * value % p)
+        for c0 in range(p):
+            if c0 not in rooted:
+                cand = RPoly(field, (c0, *upper))
+                if is_irreducible(cand):
+                    return cand
     raise AssertionError(f"no irreducible of degree {s} over F_{p}")
 
 
@@ -368,8 +396,10 @@ def find_splittings(m: int, q: int) -> list[Splitting]:
     assignments along each cycle enumerate all of them.  The units a and
     a*q induce the same permutation, so the search walks one witness per
     coset, its least member, in ascending order: each splitting keeps the
-    least witness of the walk over every unit.  Returns [] when no splitting
-    exists, in particular when q is not a square mod m.
+    least witness of the walk over every unit.  Sides are bitmasks over the
+    cosets, expanded once all of a witness's cycles are even; only distinct
+    ones become element tuples.  Returns [] when no splitting exists, in
+    particular when q is not a square mod m.
     """
     if m % 2 == 0:
         raise ValueError(f"modulus must be odd, got {m}")
@@ -379,39 +409,35 @@ def find_splittings(m: int, q: int) -> list[Splitting]:
         return []
     cosets = [tuple(c) for c in _orbits(m, q) if c != [0]]
     index = {x: i for i, c in enumerate(cosets) for x in c}
-    found: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    full = (1 << len(cosets)) - 1
+    found: dict[int, int] = {}
     for a in (c[0] for c in cosets):  # ascending, as _orbits lists them
         if a == 1 or gcd(a, m) != 1:
             continue
         perm = [index[a * c[0] % m] for c in cosets]
         seen = [False] * len(cosets)
-        cycles = []
+        halves = []  # per cycle, the masks of its even and of its odd positions
         for i in range(len(cosets)):
             if seen[i]:
                 continue
-            cycle = []
-            j = i
+            half, j, pos = [0, 0], i, 0
             while not seen[j]:
                 seen[j] = True
-                cycle.append(j)
-                j = perm[j]
-            cycles.append(cycle)
-        if any(len(c) % 2 for c in cycles):
-            continue
-        for flips in itertools.product((0, 1), repeat=len(cycles)):
-            side1: set[int] = set()
-            side2: set[int] = set()
-            for flip, cycle in zip(flips, cycles):
-                for pos, ci in enumerate(cycle):
-                    (side1 if (pos + flip) % 2 == 0 else side2).add(ci)
-            s1 = sorted(x for ci in side1 for x in cosets[ci])
-            s2 = sorted(x for ci in side2 for x in cosets[ci])
-            if 1 in s2:
-                s1, s2 = s2, s1
-            key = (tuple(s1), tuple(s2))
-            if key not in found:
-                found[key] = a
-    return [
-        Splitting(m, q, s1, s2, found[(s1, s2)])
-        for s1, s2 in sorted(found)
-    ]
+                half[pos % 2] |= 1 << j
+                j, pos = perm[j], pos + 1
+            if pos % 2:
+                break
+            halves.append(half)
+        else:
+            masks = [0]
+            for half in halves:
+                masks = [x | h for x in masks for h in half]
+            for mask in masks:  # bit 0 is the coset of 1, which S_1 holds
+                found.setdefault(mask if mask & 1 else full ^ mask, a)
+    sides = []
+    for mask, a in found.items():
+        s2_s1: tuple[list[int], list[int]] = ([], [])
+        for i, c in enumerate(cosets):
+            s2_s1[mask >> i & 1].extend(c)
+        sides.append((tuple(sorted(s2_s1[1])), tuple(sorted(s2_s1[0])), a))
+    return [Splitting(m, q, s1, s2, a) for s1, s2, a in sorted(sides)]

@@ -5,7 +5,7 @@ roots of unity in the unit group."""
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from ._modpoly import (
     RPoly,
@@ -15,7 +15,6 @@ from ._modpoly import (
     pnorm,
     pscale,
     psub,
-    pxgcd,
 )
 from .fieldpoly import _orbits, factor_xn_minus_1, prime_factors
 from .ring import MismatchedRing, NotAUnit, RElem, RingSpec
@@ -81,12 +80,16 @@ def hensel_lift_factorization(
     over RingSpec(p, 1)) to the unique monic factorization over Z_{p^e},
     positionally matched.
 
-    Linear lifting: peel factors off one at a time.  For a split F = G*H with
-    gcd(Gbar, Hbar) = 1 and Bezout certificate s*Gbar + t*Hbar = 1 over F_p,
-    the correction at p-adic digit k is G += p^k * (t*D mod Gbar),
-    H += p^k * (s*D mod Hbar) where D = (F - G*H) / p^k mod p.  Degrees of the
-    corrections stay below the factor degrees, so monicity is preserved and
-    the final product is exactly x^n - 1 in Z_{p^e}[x].
+    Multifactor linear lifting: every factor moves at once, one p-adic digit
+    at a time.  Write F = x^n - 1.  Modulo a factor f_i, F' = n x^(n-1) is
+    (F/f_i) * f_i' and x^n is 1, so s_i = x * f_i' / n mod f_i satisfies
+    s_i * (F/f_i) = 1 mod f_i: a Bezout coefficient in closed form (1 for a
+    member x^n - 1, 0 for a member 1).  At digit k, with
+    D = (F - prod G_j) / p^k mod p, the corrections G_i += p^k * (D*s_i mod f_i)
+    make the product right mod p^(k+1): sum_i (D*s_i mod f_i) * F/f_i agrees
+    with D mod every f_i and has degree below n.  The corrections stay below
+    the factor degrees, so the factors stay monic and the final product is
+    exactly x^n - 1 in Z_{p^e}[x].
     """
     p, m = spec.p, spec.modulus
     field = RingSpec(p, 1)
@@ -96,40 +99,32 @@ def hensel_lift_factorization(
         raise LiftError("all factors must be monic")
     if any(f.spec != field for f in factors):
         raise LiftError("factor characteristic does not match the ring")
-    product = RPoly.one(field)
-    for f in factors:
-        product = product * f
     # x^n - 1 is squarefree over F_p because p does not divide n, so factors
     # that multiply to it are pairwise coprime
-    if product != RPoly.xn_minus_1(field, n):
+    if prod(factors, start=RPoly.one(field)) != RPoly.xn_minus_1(field, n):
         raise LiftError("factors do not multiply to x^n - 1 over F_p")
 
-    lifted: list[RPoly] = []
-    remaining = RPoly.xn_minus_1(spec, n)
-    for f in factors[:-1]:
-        gbar = list(f.coeffs)
-        # remaining is congruent mod p to the product of the factors not yet
-        # peeled, so dividing by gbar leaves the product of the others
-        hbar = pdivmod(pnorm(list(remaining.coeffs), p), gbar, p)[0]
-        one, s_co, t_co = pxgcd(gbar, hbar, p)
-        if one != [1]:
-            raise LiftError("factors are not pairwise coprime")
-        big_g, big_h = list(gbar), list(hbar)
-        target = list(remaining.coeffs)
-        for k in range(1, spec.e):
-            pk = p**k
-            diff = psub(target, pmul(big_g, big_h, m), m)
-            delta = pnorm([(d // pk) % p for d in diff], p)
-            corr_g = pdivmod(pmul(t_co, delta, p), gbar, p)[1]
-            corr_h = pdivmod(pmul(s_co, delta, p), hbar, p)[1]
-            big_g = padd(big_g, pscale(corr_g, pk, m), m)
-            big_h = padd(big_h, pscale(corr_h, pk, m), m)
-        if psub(target, pmul(big_g, big_h, m), m):
-            raise AssertionError("lift did not converge")
-        lifted.append(RPoly(spec, tuple(big_g)))
-        remaining = RPoly(spec, tuple(big_h))
-    lifted.append(remaining)
-    return lifted
+    inv_n = pow(n, -1, p)
+    # x * f' has leading coefficient deg f, so subtracting deg f * f reduces it
+    bezout = [pnorm([(i - f.degree) * c * inv_n for i, c in enumerate(f.coeffs)], p) for f in factors]
+    target = list(RPoly.xn_minus_1(spec, n).coeffs)
+    lifted = [list(f.coeffs) for f in factors]
+    for k in range(1, spec.e + 1):
+        product = [1]
+        for g in lifted:
+            product = pmul(product, g, m)
+        diff = psub(target, product, m)
+        if not diff or k == spec.e:
+            break
+        pk = p**k
+        delta = [d // pk % p for d in diff]
+        for i, (f, s) in enumerate(zip(factors, bezout)):
+            if s:
+                corr = pdivmod(pmul(s, pdivmod(delta, f.coeffs, p)[1], p), f.coeffs, p)[1]
+                lifted[i] = padd(lifted[i], pscale(corr, pk, m), m)
+    if diff:
+        raise AssertionError("lift did not converge")
+    return [RPoly(spec, tuple(g)) for g in lifted]
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,18 @@ def test_factor_z9_n11(capsys):
     assert (8, 1) in lifted
 
 
+def test_factor_with_an_unproven_unit_group_piece_exits_2(capsys):
+    # ord_179(2) = 178 and the prime 2^89 - 1 divides 2^178 - 1; it lies above
+    # the range where is_prime is exact, so only bounded trial division is
+    # left, and it must end with an error rather than run for hours
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "factor", "--p", "2", "--e", "2", "--n", "179")
+    assert rc == 2
+    assert out == ""
+    assert "(p, s) = (2, 178)" in err and str(2**89 - 1) in err
+    assert time.perf_counter() - start < 30
+
+
 def test_factor_z4_n31(capsys):
     rc, out, _ = run(capsys, "factor", "--p", "2", "--e", "2", "--n", "31", "--json")
     assert rc == 0

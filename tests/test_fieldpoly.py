@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 from math import gcd
 
@@ -8,6 +9,7 @@ from chaincodes.fieldpoly import (
     Splitting,
     cyclotomic_cosets,
     factor_xn_minus_1,
+    find_irreducible,
     find_splittings,
     is_irreducible,
     is_quadratic_residue,
@@ -192,6 +194,31 @@ def test_splitting_invariants(m, q):
         assert 1 in sp.s1
 
 
+def first_irreducible_by_ben_or(p, s, start=0):
+    """The reference scan: every monic candidate of degree s from code `start`
+    on, in constant-first base-p encoding order, goes to Ben-Or's test, with
+    no sieve."""
+    for code in range(start, p**s):
+        cand = RPoly(RingSpec(p, 1), tuple(code // p**j % p for j in range(s)) + (1,))
+        if is_irreducible(cand):
+            return cand
+
+
+def test_sieves_keep_the_first_irreducible():
+    primes = [p for p in range(2, 32) if all(p % d for d in range(2, p))]
+    for p in primes:
+        for s in range(1, 9):
+            assert find_irreducible(p, s) == first_irreducible_by_ben_or(p, s), (p, s)
+    # far above the root sieve's bound, where a sieve over all of F_p would
+    # take minutes
+    big = 10**9 + 7
+    assert find_irreducible(big, 2) == first_irreducible_by_ben_or(big, 2)
+    # 3 does not divide big - 1, so cubing permutes F_big: each binomial
+    # x^3 + c (the codes below big) has a root and the reference may skip them
+    assert gcd(3, big - 1) == 1
+    assert find_irreducible(big, 3) == first_irreducible_by_ben_or(big, 3, start=big)
+
+
 def test_splitting_existence_matches_square_criterion():
     for m in range(3, 36, 2):
         for q in (2, 3, 5):
@@ -251,6 +278,18 @@ def test_one_witness_per_coset_finds_what_every_unit_finds():
             raised += isinstance(expected, str)
             split += isinstance(expected, list) and bool(expected)
     assert (cases, raised, split) == (465, 11, 129)
+
+
+def test_splitting_search_expands_no_masks_for_a_witness_with_an_odd_cycle():
+    # 46 cosets mod 69 under 47 and no splitting: the flips of a witness are
+    # expanded only once all its cycles are known to be even
+    tracemalloc.start()
+    try:
+        assert find_splittings(69, 47) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_splitting_validation():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from chaincodes._modpoly import padd, pdivmod, pmul, pnorm, pscale, psub
 from chaincodes.code import CyclicCode
 from chaincodes.fieldpoly import factor_xn_minus_1
 from chaincodes.ring import NotAUnit, RingSpec
@@ -191,24 +192,6 @@ def test_hensel_reduction_matches_inputs():
         assert product == RPoly.xn_minus_1(spec, n)
 
 
-def test_hensel_lift_recovers_code_families():
-    # a code's family is the unique lift of its residues mod p, members 1
-    # and x^n - 1 included
-    x_minus_1 = z9(8, 1)
-    Z27 = RingSpec(3, 3)
-    g27 = [f for _, _, f in lifted_factorization(11, Z27)]
-    codes = [
-        CyclicCode.zero(Z9, 11),
-        CyclicCode.whole_space(Z9, 11),
-        CyclicCode.from_two_stage(x_minus_1 * G1_Z9, G1_Z9, 1, 11),
-        CyclicCode.zero(Z27, 11),
-        CyclicCode.from_two_stage(g27[0] * g27[1], g27[1], 2, 11),
-    ]
-    for code in codes:
-        residues = [mod_p(f) for f in code.F]
-        assert hensel_lift_factorization(residues, 11, code.spec) == list(code.F)
-
-
 def test_hensel_lift_order_independent():
     inputs = list(factor_xn_minus_1(11, 3))
     forward = hensel_lift_factorization(inputs, 11, Z9)
@@ -223,6 +206,89 @@ def test_hensel_bar_compatibility():
         inv = pow(reduced.coeffs[0], -1, 3)
         field_recip = RPoly(F3, tuple(inv * c % 3 for c in reversed(reduced.coeffs)))
         assert mod_p(reciprocal(g)) == field_recip
+
+
+def _xgcd(a, b, p):
+    """Extended gcd over F_p: (g, s, t) with s*a + t*b = g and g monic."""
+    r0, r1, s0, s1, t0, t1 = pnorm(a, p), pnorm(b, p), [1], [], [], [1]
+    while r1:
+        q, r = pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, psub(s0, pmul(q, s1, p), p)
+        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
+    inv = pow(r0[-1], -1, p)
+    return pscale(r0, inv, p), pscale(s0, inv, p), pscale(t0, inv, p)
+
+
+def peel_lift(factors, n, spec):
+    """The reference lift: hensel_lift_factorization as it was when it peeled
+    the factors off one at a time, lifting each split F = G*H of the part
+    left with the Bezout certificate of an extended gcd over F_p."""
+    p, m = spec.p, spec.modulus
+    lifted, remaining = [], list(RPoly.xn_minus_1(spec, n).coeffs)
+    for f in factors[:-1]:
+        gbar = list(f.coeffs)
+        hbar = pdivmod(pnorm(remaining, p), gbar, p)[0]
+        one, s_co, t_co = _xgcd(gbar, hbar, p)
+        assert one == [1]
+        big_g, big_h = list(gbar), list(hbar)
+        for k in range(1, spec.e):
+            delta = pnorm([d // p**k % p for d in psub(remaining, pmul(big_g, big_h, m), m)], p)
+            big_g = padd(big_g, pscale(pdivmod(pmul(t_co, delta, p), gbar, p)[1], p**k, m), m)
+            big_h = padd(big_h, pscale(pdivmod(pmul(s_co, delta, p), hbar, p)[1], p**k, m), m)
+        assert psub(remaining, pmul(big_g, big_h, m), m) == []
+        lifted.append(RPoly(spec, tuple(big_g)))
+        remaining = big_h
+    return lifted + [RPoly(spec, tuple(remaining))]
+
+
+def assert_closed_form_bezout(factors, n):
+    """s = x * f' / n mod f inverts (x^n - 1)/f modulo every member f."""
+    field = factors[0].spec
+    big_f = RPoly.xn_minus_1(field, n)
+    for f in factors:
+        x_df = RPoly(field, tuple(i * c for i, c in enumerate(f.coeffs)))
+        s = RPoly(field, tuple(c * pow(n, -1, field.p) for c in x_df.coeffs)).divmod_monic(f)[1]
+        residue = (s * big_f.divmod_monic(f)[0]).divmod_monic(f)[1]
+        assert residue.is_one() or (f.is_one() and residue.is_zero()), (f, n)
+
+
+def test_all_at_once_lift_matches_the_peel_lift():
+    cases = 0
+    for p in (2, 3, 5, 7, 13):
+        for n in range(1, 50):
+            if n % p == 0:
+                continue
+            residues = list(factor_xn_minus_1(n, p))
+            assert_closed_form_bezout(residues, n)
+            for e in (2, 3, 4):
+                spec = RingSpec(p, e)
+                assert hensel_lift_factorization(residues, n, spec) == peel_lift(residues, n, spec), (p, e, n)
+                cases += 1
+    assert cases == 3 * (49 - 24 + 49 - 16 + 49 - 9 + 49 - 7 + 49 - 3)
+
+
+def test_hensel_lift_recovers_code_families():
+    # a code's family is the unique lift of its residues mod p, members 1
+    # and x^n - 1 included, whose closed-form Bezout coefficients are 0 and 1
+    x_minus_1 = z9(8, 1)
+    Z27 = RingSpec(3, 3)
+    g27 = [f for _, _, f in lifted_factorization(11, Z27)]
+    codes = [
+        CyclicCode.zero(Z9, 11),
+        CyclicCode.whole_space(Z9, 11),
+        CyclicCode.from_two_stage(x_minus_1 * G1_Z9, G1_Z9, 1, 11),
+        CyclicCode.zero(Z27, 11),
+        CyclicCode.from_two_stage(g27[0] * g27[1], g27[1], 2, 11),
+        CyclicCode.from_two_stage(g27[0] * g27[2], g27[0], 1, 11),
+        CyclicCode.zero(RingSpec(2, 4), 7),
+        CyclicCode.whole_space(RingSpec(13, 2), 4),
+    ]
+    for code in codes:
+        residues = [mod_p(f) for f in code.F]
+        assert_closed_form_bezout(residues, code.n)
+        lifted = hensel_lift_factorization(residues, code.n, code.spec)
+        assert lifted == peel_lift(residues, code.n, code.spec) == list(code.F)
 
 
 def test_hensel_errors():
