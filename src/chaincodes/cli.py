@@ -47,6 +47,20 @@ EXIT_BUDGET = 4
 
 CONSTRUCTION_KINDS = ("thm42", "thm44", "remark46", "duadic", "thm510")
 
+# Caps on construct --m, search --m-max and p^e (the 64-bit range of
+# RingSpec), checked before any work starts
+MAX_M = 1000
+MAX_RING_SIZE = 2**63 - 1
+
+
+def _check_caps(m: int, rings: list[tuple[int, int]]) -> None:
+    if m > MAX_M:
+        raise ValueError(f"m = {m} is above the cap MAX_M = {MAX_M}")
+    for p, e in rings:
+        # p^64 > MAX_RING_SIZE for every p >= 2, so a huge e is never raised to
+        if p > 1 and p ** min(e, 64) > MAX_RING_SIZE:
+            raise ValueError(f"ring size {p}^{e} is above the cap MAX_RING_SIZE = 2^63 - 1")
+
 
 def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
@@ -70,12 +84,7 @@ def _int_list(text: str) -> list[int]:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.e)
-    if args.n < 1:
-        print(f"error: length must be positive, got {args.n}", file=sys.stderr)
-        return EXIT_INVALID
-    if gcd(args.n, spec.p) != 1:
-        print(f"error: p = {spec.p} divides n = {args.n}", file=sys.stderr)
-        return EXIT_INVALID
+    # factor_xn_minus_1 rejects n < 1 and p | n with a ValueError: exit 2
     triples = lifted_factorization(args.n, spec)
     doc = {
         "ring": ring_to_json(spec),
@@ -177,6 +186,7 @@ def _print_result_text(result: ConstructionResult, reports: dict[str, dict] | No
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    _check_caps(args.m, [(args.p, args.e)])
     spec = RingSpec(args.p, args.e)
     result = build_construction(
         args.kind, spec, args.m, args.a, args.splitting, args.g1, args.g2
@@ -270,6 +280,7 @@ def _record(spec: RingSpec, m: int, a, kind: str, entry: ConstructedCode, report
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    _check_caps(args.m_max, [(p, e) for p in args.p for e in args.e])
     records: dict[str, dict] = {}
     out_path = Path(args.out)
     if out_path.exists():

@@ -341,10 +341,8 @@ def min_hamming_weight(
 
     Strategies "auto" and "residue" run the torsion-code engine, "direct"
     enumerates the whole code, and "both" runs the two and insists they
-    agree.
+    agree.  Each strategy raises ZeroCode for the zero code.
     """
-    if code.is_zero_code():
-        raise ZeroCode("the zero code has no nonzero codeword")
     if strategy == "direct":
         return min_weight_direct(code, budget)
     if strategy in ("auto", "residue"):

@@ -10,9 +10,10 @@ correspondence explicit, which the rest of the library relies on.
 Every step is deterministic: F_{p^s} is built on the first irreducible in
 encoding order (Ben-Or's test, behind sieves for candidates with a root in
 F_p and for binomials), and the root of unity comes from its smallest
-multiplicative generator, found after factoring the group order p^s - 1 as
-the product of the cyclotomic values Phi_d(p), d | s.  Duadic splittings are
-searched on bitmasks over the cosets.
+multiplicative generator.  The group order p^s - 1 is factored as the
+product of the cyclotomic values Phi_d(p), d | s; a candidate is tested
+through its norm for the primes of p - 1 and a product tree of powers for
+the others.  Duadic splittings are searched on bitmasks over the cosets.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
-from ._modpoly import PolyModulus, RPoly, pgcd, pnorm, psub
+from ._modpoly import PolyModulus, RPoly, pdivmod, pgcd, pnorm, psub
 from .ring import PRIME_EXACT_BELOW, RingSpec, is_prime
 
 
@@ -219,8 +220,7 @@ def is_irreducible(poly: RPoly) -> bool:
     if s <= 0:
         return False
     ring = PolyModulus(h, p)
-    x = [0, 1]
-    r = x
+    x = r = [0, 1]
     for _ in range(s // 2):
         # r = x^(p^i) mod h
         r = ring.pow(r, p)
@@ -273,20 +273,42 @@ class _ExtField(PolyModulus):
         self.order = p**s - 1
 
     def element(self, code: int) -> list[int]:
-        coeffs = []
-        for _ in range(self.s):
-            coeffs.append(code % self.p)
-            code //= self.p
-        return pnorm(coeffs, self.p)
+        return pnorm([code // self.p**j % self.p for j in range(self.s)], self.p)
+
+    def norm(self, c: list[int]) -> int:
+        """N(c) = c^((q-1)/(p-1)) of a nonzero c as the resultant Res(h, c),
+        by Euclid: Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
+        for r = a mod b, and Res(a, c0) = c0^(deg a)."""
+        p, a, b, res = self.p, self.mod, c, 1
+        while len(b) > 1:
+            r = pdivmod(a, b, p)[1]
+            res = res * (-1) ** ((len(a) - 1) * (len(b) - 1)) * pow(b[-1], len(a) - len(r), p) % p
+            a, b = b, r
+        return res * pow(b[0], len(a) - 1, p) % p
+
+    def _generates(self, x: list[int], primes: list[int]) -> bool:
+        """Whether x^(R/r) != 1 for every r in `primes`, of product R: each
+        half is tested on x raised to the product of the other half."""
+        if len(primes) == 1:
+            return x != [1]
+        left, right = primes[: len(primes) // 2], primes[len(primes) // 2 :]
+        return (self._generates(self.pow(x, prod(right)), left)
+                and self._generates(self.pow(x, prod(left)), right))
 
     def generator(self) -> list[int]:
-        """Smallest multiplicative generator in encoding order.  For s > 1
-        the nonzero constants (encodings below p) lie in F_p^* and cannot
-        generate, so the scan starts at encoding p."""
-        checks = [self.order // r for r in _unit_group_primes(self.p, self.s)]
+        """Smallest multiplicative generator in encoding order: the first c
+        with c^((q-1)/r) != 1 for every prime r of q - 1, which is
+        N(c)^((p-1)/r) for r | p - 1.  For s > 1 the constants lie in F_p^*
+        and cannot generate, so the scan starts at encoding p."""
+        primes = _unit_group_primes(self.p, self.s)
+        small = [r for r in primes if (self.p - 1) % r == 0]
+        large = [r for r in primes if (self.p - 1) % r]
         for code in range(1 if self.s == 1 else self.p, self.order + 1):
             cand = self.element(code)
-            if all(self.pow(cand, e) != [1] for e in checks):
+            norm = self.norm(cand) if small else 0
+            if any(pow(norm, (self.p - 1) // r, self.p) == 1 for r in small):
+                continue
+            if not large or self._generates(self.pow(cand, self.order // prod(large)), large):
                 return cand
         raise AssertionError("no generator found")
 

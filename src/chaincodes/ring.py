@@ -65,7 +65,7 @@ class RingSpec:
             raise ValueError(f"nilpotency index must be >= 1, got {self.e}")
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
-        if self.p**self.e > _MAX_MODULUS:
+        if self.e >= 64 or self.p**self.e > _MAX_MODULUS:  # p^64 > 2^63 for every prime p
             raise ValueError(f"modulus {self.p}**{self.e} exceeds the 64-bit range")
 
     @property

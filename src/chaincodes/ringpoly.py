@@ -7,15 +7,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, prod
 
-from ._modpoly import (
-    RPoly,
-    padd,
-    pdivmod,
-    pmul,
-    pnorm,
-    pscale,
-    psub,
-)
+from ._modpoly import RPoly, padd, pdivmod, pmul, pnorm, pscale, psub
 from .fieldpoly import _orbits, factor_xn_minus_1, prime_factors
 from .ring import MismatchedRing, NotAUnit, RElem, RingSpec
 

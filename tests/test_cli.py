@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import chaincodes
-from chaincodes.cli import build_construction, main
+from chaincodes.cli import MAX_M, build_construction, main
 from chaincodes.code import CyclicCode
 from chaincodes.ring import RingSpec
 from chaincodes.ringpoly import RPoly
@@ -186,6 +186,18 @@ def test_weight_zero_code_rejected(tmp_path, capsys):
     assert rc == 2
 
 
+def test_weight_code_file_with_a_huge_exponent_is_bounded(tmp_path):
+    # 3^(10^9) alone would take hours; the ring check never computes it
+    doc = code_to_json(CyclicCode.zero(Z9, 4))
+    doc["ring"]["e"] = 10**9
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc, elapsed = _run_bounded(10, "weight", str(path))
+    assert proc.returncode == 2
+    assert "64-bit range" in proc.stderr
+    assert elapsed < 10
+
+
 def test_weight_budget_exceeded(tmp_path, capsys):
     path = length10_code_file(tmp_path)
     rc, out, _ = run(capsys, "weight", str(path), "--budget", "100", "--strategy", "direct", "--json")
@@ -288,6 +300,26 @@ def test_search_empty_range(tmp_path, capsys):
     assert out_file.read_text() == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "thm42", "--p", "3", "--e", "2", "--m", str(MAX_M + 1)], "cap MAX_M"),
+    (["search", "--p", "3", "--e", "2", "--m-max", str(MAX_M + 1)], "cap MAX_M"),
+    (["construct", "thm42", "--p", "2", "--e", "63", "--m", "5"], "cap MAX_RING_SIZE"),
+    (["search", "--p", "3,2", "--e", "2,63", "--m-max", "5"], "cap MAX_RING_SIZE"),
+    # p^e is never computed past the cap: 3^(10^9) alone would take seconds
+    (["construct", "thm42", "--p", "3", "--e", str(10**9), "--m", "5"], "cap MAX_RING_SIZE"),
+])
+def test_sizes_past_a_cap_exit_2_before_any_work(tmp_path, capsys, argv, message):
+    out_file = tmp_path / "never.jsonl"
+    if argv[0] == "search":
+        argv = [*argv, "--out", str(out_file)]
+    start = time.monotonic()
+    rc, _, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert rc == 2
+    assert message in err
+    assert not out_file.exists()
+
+
 def _run_bounded(seconds, *argv):
     """Run the CLI in a fresh interpreter (cold caches) within a wall-clock bound."""
     env = {**os.environ, "PYTHONPATH": str(Path(chaincodes.__file__).resolve().parents[1])}
@@ -303,7 +335,7 @@ def _run_bounded(seconds, *argv):
 def test_factor_high_order_length_is_bounded(p, n):
     # ord_n(p) is 82 and 78.  Plain trial division of 2^82 - 1 runs past 20 s
     # (its two largest primes are near 1e8 and 1e10), and 3^78 - 1 has twelve
-    # primes, each one exponentiation in F_{3^78} per generator candidate.
+    # primes, once each one exponentiation in F_{3^78} per generator candidate.
     proc, elapsed = _run_bounded(10, "factor", "--p", str(p), "--e", "2", "--n", str(n), "--json")
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 10

@@ -3,10 +3,13 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chaincodes._modpoly import pdivmod, pgcd
 from chaincodes.fieldpoly import (
     Splitting,
+    _ext_field,
+    _unit_group_primes,
     cyclotomic_cosets,
     factor_xn_minus_1,
     find_irreducible,
@@ -217,6 +220,34 @@ def test_sieves_keep_the_first_irreducible():
     # x^3 + c (the codes below big) has a root and the reference may skip them
     assert gcd(3, big - 1) == 1
     assert find_irreducible(big, 3) == first_irreducible_by_ben_or(big, 3, start=big)
+
+
+def generator_by_every_prime(ext):
+    """The reference scan: _ExtField.generator as it was when it raised each
+    candidate to (q - 1)/r for every prime r of the group order q - 1."""
+    checks = [ext.order // r for r in _unit_group_primes(ext.p, ext.s)]
+    for code in range(1 if ext.s == 1 else ext.p, ext.order + 1):
+        cand = ext.element(code)
+        if all(ext.pow(cand, e) != [1] for e in checks):
+            return cand
+
+
+def test_generator_matches_the_scan_over_every_prime():
+    primes = [p for p in range(2, 32) if all(p % d for d in range(2, p))]
+    cases = [(p, s) for p in primes for s in range(1, 20) if p**s <= 10**6]
+    # two or three field powers where the scan took twelve, and large p
+    cases += [(2, 58), (3, 78), (10**9 + 7, 2), (10**9 + 7, 3)]
+    assert len(cases) == 80
+    for p, s in cases:
+        ext = _ext_field(p, s)
+        assert ext.generator() == generator_by_every_prime(ext), (p, s)
+
+
+@given(st.sampled_from([(3, 1), (2, 7), (3, 4), (5, 3), (7, 2), (13, 5), (31, 3), (10**9 + 7, 3)]), st.data())
+def test_norm_is_the_power_to_q_minus_1_over_p_minus_1(field, data):
+    ext = _ext_field(*field)
+    c = ext.element(data.draw(st.integers(1, ext.order)))
+    assert [ext.norm(c)] == ext.pow(c, ext.order // (ext.p - 1))
 
 
 def test_splitting_existence_matches_square_criterion():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from chaincodes._modpoly import padd, pdivmod, pmul, pnorm, pscale, psub
+from chaincodes._modpoly import PolyModulus, padd, pdivmod, pmul, pnorm, pscale, psub
 from chaincodes.code import CyclicCode
 from chaincodes.fieldpoly import factor_xn_minus_1
 from chaincodes.ring import NotAUnit, RingSpec
@@ -39,6 +39,61 @@ def mod_p(f):
 # Canonical coefficients of the degree-5 lifted factors of x^11 - 1 over Z_9.
 G1_Z9 = z9(8, 2, 1, 8, 3, 1)  # x^5 + 3x^4 + 8x^3 + x^2 + 2x + 8
 G2_Z9 = z9(8, 6, 1, 8, 7, 1)  # x^5 + 7x^4 + 8x^3 + x^2 + 6x + 8
+
+
+def schoolbook(a, b, m):
+    """The reference product: pmul as it was before packing, one integer
+    product per pair of coefficients."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return pnorm(out, m)
+
+
+# (m, deg(mod), slot width): the slots hold 2 deg(mod) m^2, in 1, 2, 4 and 8
+# bytes (machine words; 3 and 5 bytes round up) and in 16 bytes (converted
+# one by one)
+@pytest.mark.parametrize("m, d, width", [
+    (3, 4, 1), (13, 6, 2), (2, 58, 2), (101, 10, 4), (65537, 4, 8), (10**9 + 7, 3, 8),
+    (2**61 - 1, 3, 16),
+])
+def test_poly_modulus_matches_schoolbook_and_division(m, d, width):
+    rng = random.Random(m + d)
+    mod = [rng.randrange(m) for _ in range(d)] + [1]
+    ring = PolyModulus(mod, m)
+    assert ring.width == width
+    for _ in range(10):
+        a = pnorm([rng.randrange(m) for _ in range(d)], m)
+        b = pnorm([rng.randrange(m) for _ in range(d)], m)
+        assert ring.mul(a, b) == pdivmod(schoolbook(a, b, m), mod, m)[1]
+        e = rng.randrange(3 * m)
+        expected = [1]
+        for bit in bin(e)[2:]:
+            expected = pdivmod(schoolbook(expected, expected, m), mod, m)[1]
+            if bit == "1":
+                expected = pdivmod(schoolbook(expected, a, m), mod, m)[1]
+        assert ring.pow(a, e) == expected
+
+
+def test_packed_pmul_matches_schoolbook_on_both_sides_of_the_threshold():
+    # pmul packs from (min(len) - 1) * max(len) = 48 on, when min(len) (m-1)^2
+    # fits in 8 bytes; the inputs are unreduced and negative
+    rng = random.Random(15)
+    shapes = [(4, 4), (7, 7), (7, 8), (8, 7), (1, 100), (2, 47), (48, 2), (3, 24), (46, 3), (46, 46)]
+    for la, lb in shapes:
+        for m in (2, 3, 2197, 65537, 10**9 + 7, 2**61 - 1):
+            for bound in (m, 10**30):
+                a = [rng.randrange(-bound + 1, bound) for _ in range(la)]
+                b = [rng.randrange(-bound + 1, bound) for _ in range(lb)]
+                assert pmul(a, b, m) == schoolbook(a, b, m), (la, lb, m)
+
+
+@given(st.lists(st.integers(-(10**20), 10**20), max_size=40),
+       st.lists(st.integers(-(10**20), 10**20), max_size=40),
+       st.sampled_from([2, 9, 2197, 10**9 + 7]))
+def test_pmul_matches_schoolbook(a, b, m):
+    assert pmul(a, b, m) == schoolbook(a, b, m)
 
 
 def test_mul_telescoping():
