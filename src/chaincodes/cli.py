@@ -47,15 +47,20 @@ EXIT_BUDGET = 4
 
 CONSTRUCTION_KINDS = ("thm42", "thm44", "remark46", "duadic", "thm510")
 
-# Caps on construct --m, search --m-max and p^e (the 64-bit range of
-# RingSpec), checked before any work starts
+# Caps on construct --m, search --m-max, the length 2^a * m of the kinds that
+# take --a, and p^e (the 64-bit range of RingSpec), checked before any work
+# starts; MAX_N = 2 * MAX_M accepts every a = 1 length
 MAX_M = 1000
+MAX_N = 2 * MAX_M
 MAX_RING_SIZE = 2**63 - 1
 
 
-def _check_caps(m: int, rings: list[tuple[int, int]]) -> None:
+def _check_caps(m: int, rings: list[tuple[int, int]], a: int | None = None) -> None:
     if m > MAX_M:
         raise ValueError(f"m = {m} is above the cap MAX_M = {MAX_M}")
+    # 2^a > MAX_N once a reaches its bit length, so a huge a is never raised to
+    if a is not None and m >= 1 and a >= 1 and (a >= MAX_N.bit_length() or 2**a * m > MAX_N):
+        raise ValueError(f"length 2^{a} * {m} is above the cap MAX_N = {MAX_N}")
     for p, e in rings:
         # p^64 > MAX_RING_SIZE for every p >= 2, so a huge e is never raised to
         if p > 1 and p ** min(e, 64) > MAX_RING_SIZE:
@@ -186,7 +191,7 @@ def _print_result_text(result: ConstructionResult, reports: dict[str, dict] | No
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    _check_caps(args.m, [(args.p, args.e)])
+    _check_caps(args.m, [(args.p, args.e)], None if args.kind == "duadic" else args.a)
     spec = RingSpec(args.p, args.e)
     result = build_construction(
         args.kind, spec, args.m, args.a, args.splitting, args.g1, args.g2
@@ -280,7 +285,7 @@ def _record(spec: RingSpec, m: int, a, kind: str, entry: ConstructedCode, report
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    _check_caps(args.m_max, [(p, e) for p in args.p for e in args.e])
+    _check_caps(args.m_max, [(p, e) for p in args.p for e in args.e], max(args.a, default=None))
     records: dict[str, dict] = {}
     out_path = Path(args.out)
     if out_path.exists():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from math import gcd
+from math import gcd, prod
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
 
@@ -96,16 +96,16 @@ class CyclicCode:
             raise ValueError(f"p = {spec.p} divides the length {n}")
         if len(self.F) != spec.e + 1:
             raise ValueError(f"family must have {spec.e + 1} entries, got {len(self.F)}")
-        product = RPoly.one(spec)
         for f in self.F:
             if f.spec != spec:
                 raise MismatchedRing(f"{f.spec} vs {spec}")
             if not f.is_monic():
                 raise ValueError(f"family member {f} is not monic")
-            product = product * f
-        # x^n - 1 is squarefree over F_p because p does not divide n, so
-        # monic members that multiply to it are pairwise coprime mod p
-        if product != RPoly.xn_minus_1(spec, n):
+        # the degrees go first, so a huge n is rejected before x^n - 1 is
+        # built; x^n - 1 is squarefree over F_p because p does not divide n,
+        # so monic members that multiply to it are pairwise coprime mod p
+        degrees = sum(f.degree for f in self.F)
+        if degrees != n or prod(self.F, start=RPoly.one(spec)) != RPoly.xn_minus_1(spec, n):
             raise ValueError("family product is not x^n - 1")
 
     # -- constructors -------------------------------------------------------

@@ -9,6 +9,7 @@ are re-checkable through verify_result.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .code import CyclicCode, search_multiplier_equivalence
@@ -54,63 +55,53 @@ def _check_odd_length(m: int, spec: RingSpec) -> None:
         raise ValueError(f"p = {spec.p} divides m = {m}")
 
 
-def _all_ones(spec: RingSpec, m: int) -> RPoly:
-    """(x^m - 1)/(x - 1): the all-ones polynomial of degree m - 1."""
-    return RPoly(spec, (1,) * m)
+def _doubling_step(
+    m: int, a: int, spec: RingSpec, check: Callable[[], None] | None = None
+) -> tuple[int, int, dict]:
+    """The shared step of the length 2^a * m constructions: check m and a (then
+    run check, if given), and return n = 2^a * m, the inverse of the smallest
+    primitive 2^a-th root of unity and the params every such result carries."""
+    _check_odd_length(m, spec)
+    if a < 1:
+        raise ValueError(f"a must be >= 1, got {a}")
+    if check is not None:
+        check()
+    alpha = primitive_root_of_unity(2**a, spec)
+    n = 2**a * m
+    params = {"ring": ring_to_json(spec), "m": m, "a": a, "n": n, "alpha": alpha.value}
+    return n, spec.inverse(alpha.value), params
 
 
-def _binomial(spec: RingSpec, degree: int, sign: int) -> RPoly:
-    """x^degree + sign, sign in {-1, +1}."""
-    return RPoly(spec, tuple([sign % spec.modulus] + [0] * (degree - 1) + [1]))
-
-
-def _scaled_product(factors: list[tuple[RPoly, int]], spec: RingSpec) -> RPoly:
-    """Product of monic-normalized images f(scale * x)."""
-    out = RPoly.one(spec)
-    for f, scale in factors:
-        out = out * substitute_scaled(f, spec.element(scale), normalize_monic=True)
-    return out
-
-
-def _half_degree_generator(
-    base_sign: int, parts: list[tuple[RPoly, int]], spec: RingSpec, n: int
-) -> RPoly:
-    gen = _binomial(spec, n // 2 - sum(f.degree for f, _ in parts), base_sign)
-    gen = gen * _scaled_product(parts, spec)
+def _half_degree_code(
+    sign: int, parts: list[tuple[RPoly, int]], inv: int, n: int, spec: RingSpec
+) -> CyclicCode:
+    """The free code generated by (x^(n/2 - d) + sign) * prod monic g(inv^k x)
+    over the parts (g, k), d the sum of their degrees."""
+    degree = n // 2 - sum(g.degree for g, _ in parts)
+    gen = RPoly(spec, tuple([sign % spec.modulus] + [0] * (degree - 1) + [1]))
+    for g, k in parts:
+        scale = spec.element(pow(inv, k, spec.modulus))
+        gen = gen * substitute_scaled(g, scale, normalize_monic=True)
     if gen.degree != n // 2:
         raise AssertionError(f"generator degree {gen.degree} != n/2 = {n // 2}")
-    return gen
+    return CyclicCode.from_generator(gen, n)
 
 
 def thm42_isodual(m: int, a: int, spec: RingSpec) -> ConstructionResult:
     """Two isodual free codes of length 2^a * m: the all-ones cofactor of
     x^m - 1 is substituted at the odd (resp. even) powers of a primitive
     2^a-th root of unity and multiplied by x^(2^(a-1)) -/+ 1."""
-    _check_odd_length(m, spec)
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    alpha = primitive_root_of_unity(2**a, spec)
-    n = 2**a * m
-    f = _all_ones(spec, m)
-    inv = spec.inverse(alpha.value)
+    n, inv, params = _doubling_step(m, a, spec)
+    f = RPoly(spec, (1,) * m)  # (x^m - 1)/(x - 1)
     half = 2 ** (a - 1)
-    odd_parts = [(f, pow(inv, 2 * k + 1, spec.modulus)) for k in range(half)]
-    even_parts = [(f, pow(inv, 2 * k, spec.modulus)) for k in range(1, half + 1)]
-    g1 = _half_degree_generator(-1, odd_parts, spec, n)
-    g2 = _half_degree_generator(+1, even_parts, spec, n)
-    params = {
-        "ring": ring_to_json(spec),
-        "m": m,
-        "a": a,
-        "n": n,
-        "alpha": alpha.value,
-    }
+    odd = _half_degree_code(-1, [(f, 2 * k + 1) for k in range(half)], inv, n, spec)
+    even = _half_degree_code(+1, [(f, 2 * k) for k in range(1, half + 1)], inv, n, spec)
     return ConstructionResult(
         kind="thm42",
         params=params,
         codes=[
-            ConstructedCode("G_1", CyclicCode.from_generator(g1, n), ("isodual",)),
-            ConstructedCode("G_2", CyclicCode.from_generator(g2, n), ("isodual",)),
+            ConstructedCode("G_1", odd, ("isodual",)),
+            ConstructedCode("G_2", even, ("isodual",)),
         ],
     )
 
@@ -123,16 +114,10 @@ def _mixed_pair_codes(
     half = 2 ** (a - 1)
     out = []
     for i, j, gi, gj in ((1, 2, g1, g2), (2, 1, g2, g1)):
-        parts = [(gi, pow(inv, 2 * k, spec.modulus)) for k in range(1, half + 1)]
-        parts += [(gj, pow(inv, 2 * k + 1, spec.modulus)) for k in range(half)]
-        minus = _half_degree_generator(-1, parts, spec, n)
-        plus = _half_degree_generator(+1, parts, spec, n)
-        out.append(
-            ConstructedCode(f"C_{i}{j}", CyclicCode.from_generator(minus, n), ("isodual",))
-        )
-        out.append(
-            ConstructedCode(f"C'_{i}{j}", CyclicCode.from_generator(plus, n), ("isodual",))
-        )
+        parts = [(gi, 2 * k) for k in range(1, half + 1)] + [(gj, 2 * k + 1) for k in range(half)]
+        for label, sign in ((f"C_{i}{j}", -1), (f"C'_{i}{j}", +1)):
+            code = _half_degree_code(sign, parts, inv, n, spec)
+            out.append(ConstructedCode(label, code, ("isodual",)))
     return out
 
 
@@ -141,26 +126,16 @@ def thm44_isodual(
 ) -> ConstructionResult:
     """Four isodual free codes of length 2^a * m built from a factorization
     x^m - 1 = (x - 1) * g1 * g2 with nonconstant monic g1, g2."""
-    _check_odd_length(m, spec)
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    if g1.degree < 1 or g2.degree < 1:
-        raise ValueError("g1 and g2 must be nonconstant")
-    x_minus_1 = RPoly(spec, (spec.modulus - 1, 1))
-    if x_minus_1 * g1 * g2 != RPoly.xn_minus_1(spec, m):
-        raise ValueError("(x - 1) * g1 * g2 is not x^m - 1")
-    n = 2**a * m
-    alpha = primitive_root_of_unity(2**a, spec)
-    inv = spec.inverse(alpha.value)
-    params = {
-        "ring": ring_to_json(spec),
-        "m": m,
-        "a": a,
-        "n": n,
-        "alpha": alpha.value,
-        "g1": list(g1.coeffs),
-        "g2": list(g2.coeffs),
-    }
+
+    def check_factors() -> None:
+        if g1.degree < 1 or g2.degree < 1:
+            raise ValueError("g1 and g2 must be nonconstant")
+        x_minus_1 = RPoly(spec, (spec.modulus - 1, 1))
+        if x_minus_1 * g1 * g2 != RPoly.xn_minus_1(spec, m):
+            raise ValueError("(x - 1) * g1 * g2 is not x^m - 1")
+
+    n, inv, params = _doubling_step(m, a, spec, check_factors)
+    params.update(g1=list(g1.coeffs), g2=list(g2.coeffs))
     return ConstructionResult(
         kind="thm44", params=params, codes=_mixed_pair_codes(g1, g2, a, inv, spec, n)
     )
@@ -168,12 +143,8 @@ def thm44_isodual(
 
 def remark46_code(m: int, a: int, spec: RingSpec) -> CyclicCode:
     """The isodual free code generated by x^(n/2) - 1, n = 2^a * m."""
-    _check_odd_length(m, spec)
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    primitive_root_of_unity(2**a, spec)  # same existence precondition
-    n = 2**a * m
-    return CyclicCode.from_generator(_binomial(spec, n // 2, -1), n)
+    n, inv, _ = _doubling_step(m, a, spec)
+    return _half_degree_code(-1, [], inv, n, spec)
 
 
 def duadic_pair(m: int, spec: RingSpec, splitting: Splitting) -> tuple[RPoly, RPoly]:
@@ -244,27 +215,18 @@ def thm510_isodual(
     (always isodual), plus the pure-product codes which are isodual when the
     splitting is given by negation and otherwise form dual-equivalent pairs."""
     g1, g2 = duadic_pair(m, spec, splitting)
-    n = 2**a * m
-    alpha = primitive_root_of_unity(2**a, spec)
-    inv = spec.inverse(alpha.value)
+    n, inv, params = _doubling_step(m, a, spec)
+    params["splitting"] = splitting_to_json(splitting)
     codes = _mixed_pair_codes(g1, g2, a, inv, spec, n)
     for i, j, gi in ((1, 2, g1), (2, 1, g2)):
-        parts = [(gi, pow(inv, k, spec.modulus)) for k in range(1, 2**a + 1)]
+        parts = [(gi, k) for k in range(1, 2**a + 1)]
         for label, partner, sign in (("C", "C'", -1), ("C'", "C", +1)):
-            gen = _half_degree_generator(sign, parts, spec, n)
             if splitting.given_by_mu_minus1:
                 claims = ("isodual",)
             else:
                 claims = (f"dual_equivalent_pair:{partner}_{j}",)
-            codes.append(ConstructedCode(f"{label}_{i}", CyclicCode.from_generator(gen, n), claims))
-    params = {
-        "ring": ring_to_json(spec),
-        "m": m,
-        "a": a,
-        "n": n,
-        "alpha": alpha.value,
-        "splitting": splitting_to_json(splitting),
-    }
+            code = _half_degree_code(sign, parts, inv, n, spec)
+            codes.append(ConstructedCode(f"{label}_{i}", code, claims))
     return ConstructionResult(kind="thm510", params=params, codes=codes)
 
 

@@ -130,20 +130,6 @@ def lifted_factorization(n: int, spec: RingSpec) -> tuple[tuple[tuple[int, ...],
     return tuple(zip(cosets, residue, lifted))
 
 
-def _newton_lift_root(root_mod_p: int, order: int, spec: RingSpec) -> int:
-    """Lift a root of x^order - 1 from F_p to Z_{p^e}; needs p odd so the
-    derivative order * a^(order-1) is a unit."""
-    m = spec.modulus
-    a = root_mod_p
-    modulus = spec.p
-    while modulus < m:
-        modulus = min(modulus * modulus, m)
-        f = (pow(a, order, modulus) - 1) % modulus
-        df = order * pow(a, order - 1, modulus) % modulus
-        a = (a - f * pow(df, -1, modulus)) % modulus
-    return a
-
-
 def primitive_root_of_unity(order: int, spec: RingSpec) -> RElem:
     """Smallest primitive 2^a-th root of unity in Z_{p^e}; exists iff
     p = 1 mod 2^a (p odd)."""
@@ -179,7 +165,9 @@ def nth_roots_of_unity(n: int, spec: RingSpec) -> list[RElem]:
         r = pow(c, (p - 1) // g, p)
         if all(pow(r, k, p) != 1 for k in checks):
             break
-    zeta = _newton_lift_root(r, g, spec)
+    # r^g = 1 mod p, so the Teichmueller lift r^(p^(e-1)) is the one root of
+    # x^g - 1 over r
+    zeta = pow(r, p ** (spec.e - 1), m)
     roots, power = [], 1
     for _ in range(g):
         roots.append(power)

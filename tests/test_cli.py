@@ -7,10 +7,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chaincodes
-from chaincodes.cli import MAX_M, build_construction, main
+from chaincodes.cli import CONSTRUCTION_KINDS, MAX_M, MAX_N, _check_caps, build_construction, main
 from chaincodes.code import CyclicCode
+from chaincodes.constructions import ConstructionResult
 from chaincodes.ring import RingSpec
 from chaincodes.ringpoly import RPoly
 from chaincodes.serialize import code_from_json, code_to_json
@@ -307,6 +309,12 @@ def test_search_empty_range(tmp_path, capsys):
     (["search", "--p", "3,2", "--e", "2,63", "--m-max", "5"], "cap MAX_RING_SIZE"),
     # p^e is never computed past the cap: 3^(10^9) alone would take seconds
     (["construct", "thm42", "--p", "3", "--e", str(10**9), "--m", "5"], "cap MAX_RING_SIZE"),
+    # the length 2^a * m: 4 * 501 is the first length past MAX_N = 2000 with
+    # a >= 2, and 2^a is never formed for a huge a
+    (["construct", "thm42", "--p", "17", "--e", "2", "--m", "501", "--a", "2"], "cap MAX_N"),
+    (["construct", "thm510", "--p", "17", "--e", "2", "--m", "5", "--a", str(10**9)], "cap MAX_N"),
+    (["search", "--p", "17", "--e", "2", "--m-max", "501", "--a", "1,2"], "cap MAX_N"),
+    (["search", "--p", "17", "--e", "2", "--m-max", "9", "--a", f"1,{10**9}"], "cap MAX_N"),
 ])
 def test_sizes_past_a_cap_exit_2_before_any_work(tmp_path, capsys, argv, message):
     out_file = tmp_path / "never.jsonl"
@@ -318,6 +326,56 @@ def test_sizes_past_a_cap_exit_2_before_any_work(tmp_path, capsys, argv, message
     assert rc == 2
     assert message in err
     assert not out_file.exists()
+
+
+def test_length_cap_keeps_every_a_1_length():
+    assert MAX_N == 2 * MAX_M
+    _check_caps(MAX_M, [(17, 2)], 1)
+    _check_caps(125, [(17, 2)], 4)  # 2^4 * 125 = MAX_N
+    _check_caps(5, [(17, 2)], -(10**9))  # a < 1 is the construction's to reject
+    with pytest.raises(ValueError, match="cap MAX_N"):
+        _check_caps(127, [(17, 2)], 4)
+
+
+def test_construct_thm510_rejects_a_below_1(capsys):
+    rc, _, err = run(capsys, "construct", "thm510", "--p", "13", "--e", "2",
+                     "--m", "17", "--a", "0")
+    assert rc == 2
+    assert "a must be >= 1" in err
+
+
+def test_search_with_a_0_keeps_the_duadic_records(tmp_path, capsys):
+    out_file = tmp_path / "a0.jsonl"
+    rc, _, err = run(capsys, "search", "--p", "13", "--e", "2", "--m-max", "17",
+                     "--a", "0", "--out", str(out_file))
+    assert rc == 0
+    rows = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert rows and {row["kind"] for row in rows} == {"duadic"}
+    points = [m for m in range(1, 18, 2) if m != 13]
+    for kind in ("thm42", "remark46", "thm44", "thm510"):
+        skips = [line.split(":")[0] for line in err.splitlines()
+                 if line.startswith(f"skip {kind} ")]
+        assert skips == [f"skip {kind} p=13 e=2 m={m} a=0" for m in points]
+
+
+@settings(max_examples=400)
+@given(
+    p=st.sampled_from([2, 3, 5, 13, 17]),
+    e=st.integers(1, 3),
+    m=st.integers(-1, 15),
+    a=st.integers(-2, 3),
+    index=st.integers(-1, 2),
+)
+def test_every_kind_builds_or_raises_an_input_error(p, e, m, a, index):
+    # main turns ValueError and ArithmeticError into exit 2 and search skips
+    # the job; anything else is a traceback.  400 examples of five kinds run
+    # in about 1 s.
+    for kind in CONSTRUCTION_KINDS:
+        try:
+            result = build_construction(kind, RingSpec(p, e), m, a, index)
+        except (ValueError, ArithmeticError):
+            continue
+        assert isinstance(result, ConstructionResult)
 
 
 def _run_bounded(seconds, *argv):

@@ -240,6 +240,12 @@ def test_thm510_fixed_splitting_dual_equivalent_pairs():
     assert all_claims_hold(reports)
 
 
+@pytest.mark.parametrize("a", [0, -1])
+def test_thm510_rejects_a_below_1(a):
+    with pytest.raises(ValueError, match="a must be >= 1"):
+        thm510_isodual(17, a, RingSpec(13, 2), find_splittings(17, 13)[0])
+
+
 def test_generator_degree_balance():
     for result in (
         thm42_isodual(5, 1, Z9),

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from chaincodes.code import CyclicCode
@@ -60,6 +62,17 @@ def test_code_rejects_bad_family():
     data["F"][0]["coeffs"] = [1, 1]
     with pytest.raises((SchemaError, ValueError)):
         code_from_json(data)
+
+
+def test_code_with_a_huge_length_is_rejected_before_x_n_minus_1():
+    # the family's degrees sum to 4, not n, so x^n - 1 (370 MB of
+    # coefficients at n = 10^7) is never built
+    data = code_to_json(CyclicCode.zero(Z9, 4))
+    data["n"] = 10**7
+    start = time.monotonic()
+    with pytest.raises(SchemaError, match=r"family product is not x\^n - 1"):
+        code_from_json(data)
+    assert time.monotonic() - start < 0.1
 
 
 def test_result_round_trip():
