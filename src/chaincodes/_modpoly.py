@@ -210,21 +210,29 @@ class RPoly:
     def constant_term(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
+    @classmethod
+    def _wrap(cls, spec: RingSpec, coeffs: list[int]) -> "RPoly":
+        """An RPoly of a list the list routines already normalized: no pnorm."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "spec", spec)
+        object.__setattr__(poly, "coeffs", tuple(coeffs))
+        return poly
+
     def _check(self, other: "RPoly") -> None:
         if self.spec != other.spec:
             raise MismatchedRing(f"{self.spec} vs {other.spec}")
 
     def __add__(self, other: "RPoly") -> "RPoly":
         self._check(other)
-        return RPoly(self.spec, tuple(padd(list(self.coeffs), list(other.coeffs), self.spec.modulus)))
+        return RPoly._wrap(self.spec, padd(list(self.coeffs), list(other.coeffs), self.spec.modulus))
 
     def __sub__(self, other: "RPoly") -> "RPoly":
         self._check(other)
-        return RPoly(self.spec, tuple(psub(list(self.coeffs), list(other.coeffs), self.spec.modulus)))
+        return RPoly._wrap(self.spec, psub(list(self.coeffs), list(other.coeffs), self.spec.modulus))
 
     def __mul__(self, other: "RPoly") -> "RPoly":
         self._check(other)
-        return RPoly(self.spec, tuple(pmul(list(self.coeffs), list(other.coeffs), self.spec.modulus)))
+        return RPoly._wrap(self.spec, pmul(list(self.coeffs), list(other.coeffs), self.spec.modulus))
 
     def divmod_monic(self, other: "RPoly") -> tuple["RPoly", "RPoly"]:
         """Euclidean division by a monic divisor (exact over Z_{p^e})."""
@@ -232,7 +240,7 @@ class RPoly:
         if not other.is_monic():
             raise ValueError(f"divisor must be monic, got leading {other.coeffs[-1] if other.coeffs else 0}")
         q, r = pdivmod(list(self.coeffs), list(other.coeffs), self.spec.modulus)
-        return RPoly(self.spec, tuple(q)), RPoly(self.spec, tuple(r))
+        return RPoly._wrap(self.spec, q), RPoly._wrap(self.spec, r)
 
     def monic(self) -> "RPoly":
         """Scale by the leading coefficient's inverse; leading must be a unit."""
@@ -240,7 +248,7 @@ class RPoly:
             return self
         if not self.spec.is_unit(self.coeffs[-1]):
             raise NotAUnit(f"leading coefficient {self.coeffs[-1]} is not a unit")
-        return RPoly(self.spec, tuple(pmonic(list(self.coeffs), self.spec.modulus)))
+        return RPoly._wrap(self.spec, pmonic(list(self.coeffs), self.spec.modulus))
 
     def __str__(self) -> str:
         from .serialize import poly_to_text

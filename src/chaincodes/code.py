@@ -89,6 +89,24 @@ class CyclicCode:
     F: tuple[RPoly, ...]
 
     def __post_init__(self) -> None:
+        self._check_family()
+        # x^n - 1 is squarefree over F_p because p does not divide n, so
+        # monic members that multiply to it are pairwise coprime mod p
+        if prod(self.F, start=RPoly.one(self.spec)) != RPoly.xn_minus_1(self.spec, self.n):
+            raise ValueError("family product is not x^n - 1")
+
+    @classmethod
+    def _derived(cls, spec: RingSpec, n: int, family: tuple[RPoly, ...]) -> "CyclicCode":
+        """A code whose family multiplies to x^n - 1 by construction (cofactors,
+        a dual, an image): every check of __post_init__ but the product."""
+        code = object.__new__(cls)
+        for name, value in (("spec", spec), ("n", n), ("F", family)):
+            object.__setattr__(code, name, value)
+        code._check_family()
+        return code
+
+    def _check_family(self) -> None:
+        """The checks every code passes, derived or not: all but the product."""
         spec, n = self.spec, self.n
         if n < 1:
             raise ValueError(f"length must be positive, got {n}")
@@ -101,11 +119,9 @@ class CyclicCode:
                 raise MismatchedRing(f"{f.spec} vs {spec}")
             if not f.is_monic():
                 raise ValueError(f"family member {f} is not monic")
-        # the degrees go first, so a huge n is rejected before x^n - 1 is
-        # built; x^n - 1 is squarefree over F_p because p does not divide n,
-        # so monic members that multiply to it are pairwise coprime mod p
-        degrees = sum(f.degree for f in self.F)
-        if degrees != n or prod(self.F, start=RPoly.one(spec)) != RPoly.xn_minus_1(spec, n):
+        # degrees that do not sum to n rule the product out before x^n - 1
+        # is built, so a huge n is rejected cheaply
+        if sum(f.degree for f in self.F) != n:
             raise ValueError("family product is not x^n - 1")
 
     # -- constructors -------------------------------------------------------
@@ -121,7 +137,7 @@ class CyclicCode:
         if not remainder.is_zero():
             raise NotADivisor(f"{g} does not divide x^{n} - 1")
         family = [g, quotient] + [RPoly.one(spec)] * (spec.e - 1)
-        return cls(spec, n, tuple(family))
+        return cls._derived(spec, n, tuple(family))
 
     @classmethod
     def from_two_stage(
@@ -143,7 +159,7 @@ class CyclicCode:
         family = [g_torsion] + [RPoly.one(spec)] * spec.e
         family[1] = f1
         family[j + 1] = fj
-        return cls(spec, n, tuple(family))
+        return cls._derived(spec, n, tuple(family))
 
     @classmethod
     def whole_space(cls, spec: RingSpec, n: int) -> "CyclicCode":
@@ -239,7 +255,7 @@ class CyclicCode:
         family = [reciprocal(self.F[1]), reciprocal(self.F[0])]
         for i in range(2, e + 1):
             family.append(reciprocal(self.F[e - i + 2]))
-        return CyclicCode(self.spec, self.n, tuple(family))
+        return CyclicCode._derived(self.spec, self.n, tuple(family))
 
     def is_self_dual(self) -> bool:
         return self.dual() == self
@@ -254,7 +270,7 @@ class CyclicCode:
         if pow(lam.value, self.n, self.spec.modulus) != 1:
             raise ValueError(f"{lam.value}^{self.n} != 1")
         family = tuple(substitute_scaled(f, lam, normalize_monic=True) for f in self.F)
-        return CyclicCode(self.spec, self.n, family)
+        return CyclicCode._derived(self.spec, self.n, family)
 
     def apply_multiplier(self, a: int) -> "CyclicCode":
         """The image under the coordinate permutation i -> a*i mod n, i.e.
@@ -262,7 +278,7 @@ class CyclicCode:
         field = RingSpec(self.spec.p, 1)
         residues = [_residue_images(RPoly(field, f.coeffs), a, self.n)[1] for f in self.F]
         family = hensel_lift_factorization([RPoly(field, r) for r in residues], self.n, self.spec)
-        return CyclicCode(self.spec, self.n, tuple(family))
+        return CyclicCode._derived(self.spec, self.n, tuple(family))
 
     # -- isoduality ---------------------------------------------------------
 
@@ -332,14 +348,20 @@ def _residue_images(f: RPoly, a: int, n: int) -> Mapping[int, tuple[int, ...]]:
     """The coefficients of the monic images phi_lam(mu_a(f)) of a monic
     divisor f of x^n - 1 over F_p, keyed by every n-th root of unity lam of
     F_p.  mu_a(f) is gcd(f(x^a) mod x^n - 1, x^n - 1), the factor whose
-    roots are the a-th roots of those of f."""
-    image = f
-    if a != 1:
+    roots are the a-th roots of those of f; for a = n - 1 those are the
+    inverses of the roots of f, so mu_a(f) is the monic reciprocal of f."""
+    p, image = f.spec.p, f.coeffs
+    if a == n - 1:
+        image = reciprocal(f).coeffs
+    elif a != 1:
         whole = RPoly.xn_minus_1(f.spec, n)
         # the zero code's F_0 = x^n - 1 reduces to 0, whose image gcd is x^n - 1
         image = multiplier_mod(f.divmod_monic(whole)[1], a, n)
-        image = RPoly(f.spec, tuple(pgcd(list(image.coeffs), list(whole.coeffs), f.spec.p)))
-    return MappingProxyType({
-        lam.value: substitute_scaled(image, lam, normalize_monic=True).coeffs
-        for lam in nth_roots_of_unity(n, f.spec)
-    })
+        image = tuple(pgcd(list(image.coeffs), list(whole.coeffs), p))
+    d, images = len(image) - 1, {}
+    for lam in (root.value for root in nth_roots_of_unity(n, f.spec)):
+        # phi_lam scales coefficient i by lam^i, and lam^-d makes it monic
+        # again: w steps from lam^(-d-1) to lam^(i-d) before coefficient i
+        w = pow(lam, -d - 1, p)
+        images[lam] = tuple([c * (w := w * lam % p) % p for c in image])
+    return MappingProxyType(images)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 from typing import Iterator
 
@@ -43,6 +43,10 @@ from .ringpoly import RPoly
 DEFAULT_BUDGET = 2_000_000
 
 _BLOCK = 1 << 16
+
+# Steps of at most this many words are summed word by word.  Neither table is
+# wider than the step, so their staircase would be one block (256^2 = _BLOCK).
+_SMALL_STEP = 1 << 8
 
 # Words turned into Codeword objects per step: few, so that the arrays and
 # nested lists they pass through stay small next to the objects themselves.
@@ -203,7 +207,8 @@ def _step_minima(parity: np.ndarray, step: _Step, p: int) -> Iterator[tuple[int,
     end of the larger table; the larger is built _BLOCK columns at a time,
     each column once.  Consecutive rectangles share a block while their
     bounding box fits in one, and every block is masked to the pairs that
-    meet."""
+    meet.  A step of at most _SMALL_STEP words is that one block, summed
+    word by word over its supports and digits."""
     k, r = parity.shape
     h = (step.w - 1) // 2
     t = step.w - 1 - h
@@ -211,9 +216,15 @@ def _step_minima(parity: np.ndarray, step: _Step, p: int) -> Iterator[tuple[int,
         return
     # every sum below adds at most w products c * row_j < p^2
     _check_numpy_safe(p, [p] * step.w)
+    lead = (0,) if step.lead else ()
+    if step.words <= _SMALL_STEP:
+        supports = [(*lead, *c) for c in combinations(range(1, k), step.w - len(lead))]
+        digits = _digit_block(0, (p - 1) ** (step.w - 1), [1] + [p - 1] * (step.w - 1)) + 1
+        words = digits @ parity[np.array(supports, dtype=np.intp)] % p  # (supports, digits, r)
+        yield step.words, int(np.count_nonzero(words, axis=2).min())
+        return
     acc_type = np.min_scalar_type(step.w * (p - 1) ** 2)
     low, count = np.min_scalar_type(p - 1), np.min_scalar_type(r)
-    lead = (0,) if step.lead else ()
     heads = [(*lead, *c) for c in combinations(range(1, k - t), h + 1 - len(lead))]
     heads = np.array(heads, dtype=np.intp)
     heads = heads[np.argsort(heads[:, -1], kind="stable")]  # by end; tails are by start
@@ -367,12 +378,11 @@ def min_hamming_weight(
 # ---------------------------------------------------------------------------
 
 
-def _half_tables(code: CyclicCode) -> tuple[np.ndarray, ...]:
-    """The meet-in-the-middle join over Z_{p^e}: a left and a right half
+def _half_keys(code: CyclicCode) -> tuple[np.ndarray, ...]:
+    """The meet-in-the-middle split over Z_{p^e}: a left and a right half
     make an annihilator word when their keys (the generator-row inner
     products of the left one, negated for the right one) agree.  Returns
-    both halves, their stable key orders and, per left vector in key order,
-    the run [lo, lo + count) of right vectors in key order with its key."""
+    both halves and their keys."""
     m = code.spec.modulus
     rows = np.array(code.generator_matrix(), dtype=np.int64).reshape(-1, code.n)
     r = rows.shape[0]
@@ -386,33 +396,37 @@ def _half_tables(code: CyclicCode) -> tuple[np.ndarray, ...]:
     left_keys = ((left @ rows[:, :n_left].T) % m) @ weights
     right = _digit_block(0, m**n_right, [m] * n_right)
     right_keys = ((-(right @ rows[:, n_left:].T)) % m) @ weights
-
-    order_l = np.argsort(left_keys, kind="stable")
-    order_r = np.argsort(right_keys, kind="stable")
-    sorted_l, sorted_r = left_keys[order_l], right_keys[order_r]
-    lo = np.searchsorted(sorted_r, sorted_l, side="left")
-    counts = np.searchsorted(sorted_r, sorted_l, side="right") - lo
-    return left, right, order_l, order_r, lo, counts
+    return left, right, left_keys, right_keys
 
 
 def annihilator_count(code: CyclicCode) -> int:
-    """|{v : [v, w] = 0 for every w in C}| by exhaustive split enumeration."""
-    return int(_half_tables(code)[-1].sum())
+    """|{v : [v, w] = 0 for every w in C}| by exhaustive split enumeration:
+    the sum over the keys both halves share of the product of their counts."""
+    _, _, left_keys, right_keys = _half_keys(code)
+    keys_l, counts_l = np.unique(left_keys, return_counts=True)
+    keys_r, counts_r = np.unique(right_keys, return_counts=True)
+    _, at_l, at_r = np.intersect1d(keys_l, keys_r, assume_unique=True, return_indices=True)
+    return int(counts_l[at_l] @ counts_r[at_r])
 
 
-def annihilator_vectors(code: CyclicCode, limit: int = 500_000) -> list[Codeword]:
-    """The annihilator as explicit codewords; refuses to materialize more
-    than `limit` vectors."""
-    left, right, order_l, order_r, lo, counts = _half_tables(code)
+def annihilator_vectors(code: CyclicCode, limit: int = 500_000) -> Iterator[Codeword]:
+    """The annihilator as explicit codewords, an iterator over the join of
+    the two halves.  The join runs, and more than `limit` vectors raise
+    TooLarge, at call time, before any word is yielded."""
+    left, right, left_keys, right_keys = _half_keys(code)
+    order_l = np.argsort(left_keys, kind="stable")
+    order_r = np.argsort(right_keys, kind="stable")
+    sorted_l, sorted_r = left_keys[order_l], right_keys[order_r]
+    # per left vector in key order, the run [lo, lo + count) of right
+    # vectors in key order that share its key
+    lo = np.searchsorted(sorted_r, sorted_l, side="left")
+    counts = np.searchsorted(sorted_r, sorted_l, side="right") - lo
     total = int(counts.sum())
     if total > limit:
         raise TooLarge(f"annihilator has {total} vectors, limit {limit}")
     left_idx = np.repeat(order_l, counts)
     right_pos = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     right_idx = order_r[right_pos]
-    out: list[Codeword] = []
-    for start in range(0, total, _OBJECT_BLOCK):
-        block = slice(start, start + _OBJECT_BLOCK)
-        words = np.hstack((left[left_idx[block]], right[right_idx[block]]))
-        out.extend(map(_canonical_codeword, repeat(code.spec), map(tuple, words.tolist())))
-    return out
+    blocks = (slice(start, start + _OBJECT_BLOCK) for start in range(0, total, _OBJECT_BLOCK))
+    words = (np.hstack((left[left_idx[b]], right[right_idx[b]])).tolist() for b in blocks)
+    return chain.from_iterable(map(_canonical_codeword, repeat(code.spec), map(tuple, w)) for w in words)

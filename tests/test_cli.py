@@ -232,6 +232,20 @@ def test_weight_budget_exceeded_counts_whole_blocks(tmp_path, capsys):
             }, (label, budget)
 
 
+def test_weight_rejects_a_family_that_does_not_multiply_to_x_n_minus_1(tmp_path, capsys):
+    # (x + 1)(x + 1) has the degrees of x^2 - 1 but not its product; a code
+    # read from a file always gets the full check
+    doc = code_to_json(CyclicCode.from_generator(RPoly(Z9, (8, 1)), 2))
+    doc["F"][0]["coeffs"] = [1, 1]
+    with pytest.raises(ValueError, match=r"family product is not x\^n - 1"):
+        code_from_json(doc)
+    path = tmp_path / "bad_family.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "weight", str(path))
+    assert rc == 2
+    assert "family product is not x^n - 1" in err
+
+
 def test_weight_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\"ring\": {\"p\": 3}}")

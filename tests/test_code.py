@@ -1,10 +1,12 @@
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_weight_engine import family_codes
 
 from chaincodes import code as code_module
+from chaincodes._modpoly import pgcd
 from chaincodes.cli import build_construction
 from chaincodes.code import (
     Codeword,
@@ -29,7 +31,14 @@ from chaincodes.exhaustive import (
 )
 from chaincodes.fieldpoly import factor_xn_minus_1
 from chaincodes.ring import RingSpec
-from chaincodes.ringpoly import RPoly, lifted_factorization, nth_roots_of_unity, reciprocal
+from chaincodes.ringpoly import (
+    RPoly,
+    lifted_factorization,
+    multiplier_mod,
+    nth_roots_of_unity,
+    reciprocal,
+    substitute_scaled,
+)
 
 Z9 = RingSpec(3, 2)
 Z4 = RingSpec(2, 2)
@@ -287,7 +296,7 @@ def multiplier_by_cosets(code, a):
 def small_code_images():
     """Every code of length n < 12 over Z_4, Z_8, Z_9, Z_25 and Z_27, one
     list per ring and length, each code with its multiplier image for every
-    unit of Z_n.  Built once: the two oracle tests below share them."""
+    unit of Z_n.  Built once: the oracle tests below share them."""
     groups = []
     for spec in (Z4, RingSpec(2, 3), Z9, RingSpec(5, 2), RingSpec(3, 3)):
         for n in range(1, 12):
@@ -310,6 +319,50 @@ def test_multiplier_matches_the_coset_image_on_every_small_code(small_code_image
     assert images > 10_000
 
 
+def test_every_derived_code_multiplies_to_x_n_minus_1(small_code_images):
+    # generators, duals, scaled and multiplier images skip the product check
+    # of CyclicCode(...); the public constructor runs it on each of them
+    checked = 0
+    for group in small_code_images:
+        for code, by_unit in group:
+            derived = [code.dual(), code.apply_scaling(nth_roots_of_unity(code.n, code.spec)[-1])]
+            if code.is_free():
+                derived.append(CyclicCode.from_generator(code.F[0], code.n))
+            for image in derived + list(by_unit.values()):
+                assert CyclicCode(image.spec, image.n, image.F) == image, (code.F, image.F)
+                checked += 1
+    assert checked > 13_045
+
+
+def residue_images_by_gcd(f, a, n):
+    """The reference images: mu_a(f) as gcd(f(x^a) mod x^n - 1, x^n - 1),
+    then every scaling by an n-th root of unity through substitute_scaled."""
+    image = f
+    if a != 1:
+        whole = RPoly.xn_minus_1(f.spec, n)
+        image = multiplier_mod(f.divmod_monic(whole)[1], a, n)
+        image = RPoly(f.spec, tuple(pgcd(list(image.coeffs), list(whole.coeffs), f.spec.p)))
+    return {
+        lam.value: substitute_scaled(image, lam, normalize_monic=True).coeffs
+        for lam in nth_roots_of_unity(n, f.spec)
+    }
+
+
+@settings(max_examples=400)
+@given(p=st.sampled_from([2, 3, 5, 13]), n=st.integers(1, 39), data=st.data())
+def test_residue_images_match_the_gcd_images(p, n, data):
+    # a = n - 1 takes the monic reciprocal with no gcd; every a scales the
+    # coefficient tuple directly
+    n += n % p == 0
+    field = RingSpec(p, 1)
+    factors = factor_xn_minus_1(n, p)
+    kept = data.draw(st.lists(st.booleans(), min_size=len(factors), max_size=len(factors)))
+    f = prod((g for g, keep in zip(factors, kept) if keep), start=RPoly.one(field))
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    for a in {n - 1, data.draw(st.sampled_from(units or [1]))}:
+        assert dict(code_module._residue_images(f, a, n)) == residue_images_by_gcd(f, a, n), (f, a)
+
+
 @pytest.mark.parametrize("a", [0, 2, 5, 12])
 def test_apply_multiplier_rejects_a_non_unit(a):
     code = CyclicCode.from_generator(z9(8, 1) * z9(1, 1), 10)
@@ -321,16 +374,18 @@ def test_verification_does_not_factor(monkeypatch):
     # C'_12 of thm44 over Z_169 with n = 46 is certified by a = 45 = n - 1
     # and lam = 168, and E_1 of duadic with n = 17 by the unit a = 3.  The
     # search compares residue families, so it builds, lifts and factors no
-    # image: the only codes made are the one dual per code
+    # image: the only codes made are the one dual per code.  Every code,
+    # public or derived, passes _check_family, so counting its calls counts
+    # the codes built.
     def no_lift(*args):
         raise AssertionError("the certificate search lifted an image family")
 
     built = []
-    post_init = CyclicCode.__post_init__
+    check_family = CyclicCode._check_family
 
     def counted(self):
         built.append(self)
-        post_init(self)
+        check_family(self)
 
     expected = [("thm44", 23, 1, "C'_12", {"a": 45, "lam": 168})]
     expected += [("duadic", 17, None, "E_1", {"a": 3, "lam": 1, "via": "multiplier_search"})]
@@ -341,7 +396,7 @@ def test_verification_does_not_factor(monkeypatch):
         built.clear()
         with monkeypatch.context() as patch:
             patch.setattr(code_module, "hensel_lift_factorization", no_lift)
-            patch.setattr(CyclicCode, "__post_init__", counted)
+            patch.setattr(CyclicCode, "_check_family", counted)
             reports = verify_result(result, budget=0)
         assert all_claims_hold(reports)
         assert reports[label]["certificate"] == certificate
@@ -351,23 +406,17 @@ def test_verification_does_not_factor(monkeypatch):
             assert info.hits + info.misses == 0, cached
 
 
-def test_each_residue_image_is_computed_once(monkeypatch):
+def test_each_residue_image_is_computed_once():
     # every C_ij / C'_ij of thm44 over Z_169 with n = 46 maps its residues
     # by a = 45 = n - 1; a second verification reads them all from the cache
     result = build_construction("thm44", RingSpec(13, 2), 23, 1)
-    gcds, pgcd = [], code_module.pgcd
-
-    def counted(*args):
-        gcds.append(args)
-        return pgcd(*args)
-
     code_module._residue_images.cache_clear()
-    monkeypatch.setattr(code_module, "pgcd", counted)
     first = verify_result(result)
-    assert gcds
-    gcds.clear()
+    misses = code_module._residue_images.cache_info().misses
+    assert misses
     assert verify_result(result) == first
-    assert gcds == []
+    info = code_module._residue_images.cache_info()
+    assert info.misses == misses and info.hits >= misses
 
 
 def test_weight_invariance_under_maps():
@@ -489,6 +538,19 @@ def test_annihilator_matches_dual_small():
             ann = {w.entries for w in annihilator_vectors(code)}
             dual_words = {w.entries for w in d.codewords()}
             assert ann == dual_words
+
+
+def test_annihilator_vectors_refuse_at_call_time():
+    # the join and the limit check run when annihilator_vectors is called;
+    # the words come from the iterator it returns
+    code = CyclicCode.from_generator(z9(8, 1) * z9(1, 1), 4)
+    count = annihilator_count(code)
+    with pytest.raises(TooLarge):
+        annihilator_vectors(code, limit=count - 1)
+    words = annihilator_vectors(code, limit=count)
+    assert iter(words) is words
+    assert {w.entries for w in words} == {w.entries for w in code.dual().codewords()}
+    assert count == 9 ** 2
 
 
 def test_public_codeword_constructor_reduces_entries():

@@ -14,11 +14,13 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from chaincodes import exhaustive
 from chaincodes.cli import build_construction, main
-from chaincodes.code import CyclicCode, _residue_images
+from chaincodes.code import CyclicCode, TooLarge, _residue_images
 from chaincodes.constructions import ConstructedCode, ConstructionResult, verify_result
 from chaincodes.exhaustive import (
     _BLOCK,
+    _SMALL_STEP,
     DEFAULT_BUDGET,
     BudgetExceeded,
     _parity_rows,
@@ -238,20 +240,39 @@ def step_by_brute_force(parity: np.ndarray, step, p: int) -> tuple[int, int]:
     [(2, 7, 6), (3, 6, 7), (5, 5, 6), (13, 4, 5), (257, 3, 4), (3, 1, 4), (5, 2, 3),
      (65537, 2, 3), (2**31 - 1, 2, 3)],
 )
-def test_step_minima_match_word_by_word_sums(p, k, r, collide):
+def test_step_minima_match_word_by_word_sums(p, k, r, collide, monkeypatch):
     rng = np.random.default_rng(p)
     parity = rng.integers(0, p, (k, r))
     if collide:  # multiples of one row: head and tail sums agree often, down to weight 0
         parity = rng.integers(0, p, (k, 1)) * parity[0] % p
     checked = [step for step in _steps(k + r, k, p) if step.words <= 70_000]
     for step in checked:
-        blocks = list(_step_minima(parity, step, p))
-        words = sum(count for count, _ in blocks)
-        least = min((m for _, m in blocks), default=r + 1)
-        assert (words, least) == step_by_brute_force(parity, step, p), step
-        assert words == step.words
+        expected = step_by_brute_force(parity, step, p)
+        # every step both ways: the staircase (cutoff 0) and the direct sums
+        for cutoff in (0, 70_000):
+            monkeypatch.setattr(exhaustive, "_SMALL_STEP", cutoff)
+            blocks = list(_step_minima(parity, step, p))
+            words = sum(count for count, _ in blocks)
+            least = min((m for _, m in blocks), default=r + 1)
+            assert (words, least) == expected, (step, cutoff)
+            assert words == step.words
+            # a staircase step under the default cutoff is one block, so the
+            # direct sums change no count of words enumerated before a stop
+            assert len(blocks) <= 1 or step.words > _SMALL_STEP, step
     assert sum(step.w == 1 for step in checked) == 2
     assert len(checked) >= min(4, k + 1)
+
+
+def test_the_small_step_cutoff_keeps_the_too_large_contract(monkeypatch):
+    # the numpy check runs before either branch: w = 3 sums overflow int64
+    # at p = 2^31 - 1, on the staircase and in the direct sums alike
+    p = 2**31 - 1
+    step = _steps(4, 3, p)[4]
+    assert step.w == 3 and step.words > 0
+    for cutoff in (0, step.words):
+        monkeypatch.setattr(exhaustive, "_SMALL_STEP", cutoff)
+        with pytest.raises(TooLarge):
+            next(_step_minima(np.ones((3, 1), dtype=np.int64), step, p))
 
 
 def step_by_numpy(parity: np.ndarray, step, p: int) -> tuple[int, int]:
