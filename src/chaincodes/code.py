@@ -10,9 +10,9 @@ self-duality and isoduality checks exact and cheap.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, prod
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
@@ -21,9 +21,9 @@ from ._modpoly import pgcd
 from .ring import MismatchedRing, RElem, RingSpec
 from .ringpoly import (
     RPoly,
+    _root_values,
     hensel_lift_factorization,
     multiplier_mod,
-    nth_roots_of_unity,
     reciprocal,
     substitute_scaled,
 )
@@ -45,25 +45,26 @@ class ZeroCode(ValueError):
     """Operation undefined for the zero code."""
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """Length-n vector of canonical representatives."""
+class Codeword(namedtuple("Codeword", "spec entries")):
+    """Length-n vector of canonical representatives: a (spec, entries) tuple
+    that, like a frozen dataclass, equals only another Codeword and hashes
+    as hash((spec, entries))."""
 
-    spec: RingSpec
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m = self.spec.modulus
-        object.__setattr__(self, "entries", tuple(v % m for v in self.entries))
+    def __new__(cls, spec: RingSpec, entries: tuple[int, ...]) -> "Codeword":
+        m = spec.modulus
+        return tuple.__new__(cls, (spec, tuple(v % m for v in entries)))
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            # a plain tuple would otherwise compare field by field
+            return False if isinstance(other, tuple) else NotImplemented
+        return tuple.__eq__(self, other)
 
-def _canonical_codeword(spec: RingSpec, entries: tuple[int, ...]) -> Codeword:
-    """A Codeword from entries already in [0, p^e), skipping the reduction of
-    __post_init__; for the enumerators, whose words are reduced in numpy."""
-    word = object.__new__(Codeword)
-    object.__setattr__(word, "spec", spec)
-    object.__setattr__(word, "entries", entries)
-    return word
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's field-by-field test
+    __hash__ = tuple.__hash__
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace reduces too
 
 
 def inner_product(v: Codeword, w: Codeword) -> int:
@@ -239,13 +240,14 @@ class CyclicCode:
     def codewords(self, limit: int = 2_000_000) -> Iterator[Codeword]:
         """Every codeword exactly once, in the mixed-radix order of the
         generator rows, converted one enumerator block at a time."""
-        from .exhaustive import _OBJECT_BLOCK, codeword_blocks  # exhaustive imports code
+        # imported here because exhaustive imports code
+        from .exhaustive import _OBJECT_BLOCK, _canonical_codewords, codeword_blocks
 
         total = self.spec.p ** self.cardinality_log()
         if total > limit:
             raise TooLarge(f"|C| = {self.spec.p}^{self.cardinality_log()} exceeds {limit}")
         for block in codeword_blocks(self, _OBJECT_BLOCK):
-            yield from map(_canonical_codeword, repeat(self.spec), map(tuple, block.tolist()))
+            yield from _canonical_codewords(self.spec, block)
 
     # -- duality ------------------------------------------------------------
 
@@ -330,7 +332,7 @@ def _search_maps(
     residues, wanted = ([RPoly(field, f.coeffs) for f in code.F] for code in (source, target))
     # the n-th roots of unity of Z_{p^e} map one-to-one onto those of F_p,
     # though not in the same order
-    roots = [lam.value for lam in nth_roots_of_unity(n, source.spec)]
+    roots = _root_values(n, source.spec)
     for a in multipliers:
         # the lams under which every member so far agrees
         alive = roots
@@ -359,7 +361,7 @@ def _residue_images(f: RPoly, a: int, n: int) -> Mapping[int, tuple[int, ...]]:
         image = multiplier_mod(f.divmod_monic(whole)[1], a, n)
         image = tuple(pgcd(list(image.coeffs), list(whole.coeffs), p))
     d, images = len(image) - 1, {}
-    for lam in (root.value for root in nth_roots_of_unity(n, f.spec)):
+    for lam in _root_values(n, f.spec):
         # phi_lam scales coefficient i by lam^i, and lam^-d makes it monic
         # again: w steps from lam^(-d-1) to lam^(i-d) before coefficient i
         w = pow(lam, -d - 1, p)

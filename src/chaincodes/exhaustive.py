@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .code import Codeword, CyclicCode, TooLarge, ZeroCode, _canonical_codeword, _residue_images
+from .code import Codeword, CyclicCode, TooLarge, ZeroCode, _residue_images
 from .ring import RingSpec
 from .ringpoly import RPoly
 
@@ -51,6 +51,12 @@ _SMALL_STEP = 1 << 8
 # Words turned into Codeword objects per step: few, so that the arrays and
 # nested lists they pass through stay small next to the objects themselves.
 _OBJECT_BLOCK = 1 << 10
+
+
+def _canonical_codewords(spec: RingSpec, block: np.ndarray) -> Iterator[Codeword]:
+    """The rows of an int64 block already reduced mod p^e as Codewords, built
+    in C: the entries are not reduced again and no Python code runs per word."""
+    return map(tuple.__new__, repeat(Codeword), zip(repeat(spec), zip(*block.T.tolist())))
 
 
 class BudgetExceeded(ValueError):
@@ -378,11 +384,13 @@ def min_hamming_weight(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _half_keys(code: CyclicCode) -> tuple[np.ndarray, ...]:
     """The meet-in-the-middle split over Z_{p^e}: a left and a right half
     make an annihilator word when their keys (the generator-row inner
     products of the left one, negated for the right one) agree.  Returns
-    both halves and their keys."""
+    both halves and their keys, read-only: the last code's are kept, so
+    annihilator_count and annihilator_vectors on one code build them once."""
     m = code.spec.modulus
     rows = np.array(code.generator_matrix(), dtype=np.int64).reshape(-1, code.n)
     r = rows.shape[0]
@@ -396,6 +404,8 @@ def _half_keys(code: CyclicCode) -> tuple[np.ndarray, ...]:
     left_keys = ((left @ rows[:, :n_left].T) % m) @ weights
     right = _digit_block(0, m**n_right, [m] * n_right)
     right_keys = ((-(right @ rows[:, n_left:].T)) % m) @ weights
+    for array in (left, right, left_keys, right_keys):
+        array.flags.writeable = False
     return left, right, left_keys, right_keys
 
 
@@ -428,5 +438,5 @@ def annihilator_vectors(code: CyclicCode, limit: int = 500_000) -> Iterator[Code
     right_pos = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     right_idx = order_r[right_pos]
     blocks = (slice(start, start + _OBJECT_BLOCK) for start in range(0, total, _OBJECT_BLOCK))
-    words = (np.hstack((left[left_idx[b]], right[right_idx[b]])).tolist() for b in blocks)
-    return chain.from_iterable(map(_canonical_codeword, repeat(code.spec), map(tuple, w)) for w in words)
+    words = (np.hstack((left[left_idx[b]], right[right_idx[b]])) for b in blocks)
+    return chain.from_iterable(_canonical_codewords(code.spec, w) for w in words)

@@ -152,13 +152,15 @@ def nth_roots_of_unity(n: int, spec: RingSpec) -> list[RElem]:
     g = gcd(n, p - 1): for odd p they are the powers of the Teichmueller
     lift of an element of order g in F_p, and for p = 2 only 1 is left.
     Other n fall back to a scan of all p^e residues."""
+    return [spec.element(u) for u in _root_values(n, spec)]
+
+
+@lru_cache(maxsize=1024)
+def _root_values(n: int, spec: RingSpec) -> tuple[int, ...]:
+    """The values of nth_roots_of_unity(n, spec), found once per (n, spec)."""
     p, m = spec.p, spec.modulus
     if gcd(n, p) != 1:
-        return [
-            spec.element(u)
-            for u in range(1, m)
-            if u % p != 0 and pow(u, n, m) == 1
-        ]
+        return tuple(u for u in range(1, m) if u % p != 0 and pow(u, n, m) == 1)
     g = gcd(n, p - 1)
     checks = [g // q for q in prime_factors(g)]
     for c in range(1, p):
@@ -172,4 +174,4 @@ def nth_roots_of_unity(n: int, spec: RingSpec) -> list[RElem]:
     for _ in range(g):
         roots.append(power)
         power = power * zeta % m
-    return [spec.element(u) for u in sorted(roots)]
+    return tuple(sorted(roots))

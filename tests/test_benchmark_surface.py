@@ -11,9 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
+from chaincodes import exhaustive  # noqa: E402
 from chaincodes.code import Codeword, CyclicCode, _residue_images  # noqa: E402
 from chaincodes.ring import RingSpec  # noqa: E402
 from chaincodes.ringpoly import RPoly  # noqa: E402
@@ -49,6 +52,21 @@ def test_clear_caches_forgets_the_residue_images():
     assert _residue_images.cache_info().currsize
     workloads.clear_caches()
     assert _residue_images.cache_info().currsize == 0
+
+
+def test_annihilator_halves_are_built_once_per_code():
+    # an oracle op counts the annihilator and then lists it, on one code
+    code = CyclicCode.from_generator(RPoly(RingSpec(3, 2), (8, 1)), 4)
+    exhaustive._half_keys.cache_clear()
+    count = exhaustive.annihilator_count(code)
+    assert len(list(exhaustive.annihilator_vectors(code))) == count == 9
+    assert exhaustive._half_keys.cache_info().misses == 1
+    for array in exhaustive._half_keys(code):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    workloads.clear_caches()
+    assert exhaustive._half_keys.cache_info().currsize == 0
 
 
 def test_workloads_and_make_pools_import():

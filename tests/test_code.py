@@ -1,6 +1,8 @@
+import pickle
 from collections import Counter
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_weight_engine import family_codes
@@ -555,3 +557,73 @@ def test_annihilator_vectors_refuse_at_call_time():
 
 def test_public_codeword_constructor_reduces_entries():
     assert Codeword(RingSpec(3, 2), (9, -1)).entries == (0, 8)
+    assert Codeword(spec=RingSpec(2, 2), entries=[4, 5, -3]).entries == (0, 1, 1)
+
+
+def code_id(code):
+    return f"{code.spec}-n{code.n}-{code.cardinality_log()}"
+
+
+# the sample codes whose ambient space Z_{p^e}^n has at most 10^6 words
+SCANNABLE = [code for code in sample_codes() if code.spec.modulus**code.n <= 10**6]
+
+
+def enumerated_words(code):
+    """Words from both enumerators of one small code and its annihilator."""
+    yield from code.codewords()
+    yield from annihilator_vectors(code)
+
+
+@pytest.mark.parametrize("code", SCANNABLE, ids=code_id)
+def test_enumerated_words_match_the_public_constructor(code):
+    # the enumerators build their words without the constructor's reduction
+    for word in enumerated_words(code):
+        built = Codeword(word.spec, word.entries)
+        assert type(word) is Codeword and word.spec == code.spec
+        assert word == built and not word != built
+        assert hash(word) == hash(built) and repr(word) == repr(built)
+
+
+def test_codeword_record_hashes_as_its_fields_and_equals_only_codewords():
+    word = Codeword(Z9, (1, 10, -1))
+    assert repr(word) == "Codeword(spec=RingSpec(p=3, e=2), entries=(1, 1, 8))"
+    # it hashes as the pair of its fields but never equals that pair
+    assert hash(word) == hash((word.spec, word.entries))
+    plain = (word.spec, word.entries)
+    assert word != plain and plain != word
+    assert not word == plain and not plain == word
+    assert word != Codeword(Z9, (1, 1, 7)) and word != Codeword(RingSpec(3, 3), (1, 1, 8))
+    assert word in {Codeword(Z9, (1, 1, 8))} and plain not in {word}
+    for name in ("spec", "entries", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(word, name, (0, 0, 0))
+    copy = pickle.loads(pickle.dumps(word))
+    assert copy == word and type(copy) is Codeword and hash(copy) == hash(word)
+    # the namedtuple helpers build through the constructor as well
+    assert word._replace(entries=(9, 10, -1)) == Codeword(Z9, (0, 1, 8))
+
+
+def mixed_radix_words(code):
+    """Every word of the code in mixed-radix order over the generator rows,
+    the first row fastest, in pure Python."""
+    m = code.spec.modulus
+    words = [(0,) * code.n]
+    for row, radix in zip(reversed(code.generator_matrix()), reversed(code.row_radices())):
+        words = [tuple((a + d * b) % m for a, b in zip(word, row)) for word in words for d in range(radix)]
+    return words
+
+
+@pytest.mark.parametrize("code", list(sample_codes()), ids=code_id)
+def test_codewords_follow_the_mixed_radix_walk(code):
+    assert [w.entries for w in code.codewords()] == mixed_radix_words(code)
+
+
+@pytest.mark.parametrize("code", SCANNABLE, ids=code_id)
+def test_annihilator_vectors_match_a_scan_of_the_whole_space(code):
+    m, n = code.spec.modulus, code.n
+    space = np.indices((m,) * n).reshape(n, -1).T
+    rows = np.array(code.generator_matrix(), dtype=np.int64).reshape(-1, n)
+    orthogonal = space[~((space @ rows.T) % m).any(axis=1)]
+    words = [w.entries for w in annihilator_vectors(code, limit=m**n)]
+    assert len(words) == len(set(words)) == len(orthogonal)
+    assert set(words) == set(map(tuple, orthogonal.tolist()))

@@ -388,6 +388,13 @@ def test_nth_roots_examples():
     assert [r.value for r in nth_roots_of_unity(4, Z25)] == [1, 7, 18, 24]
 
 
+def test_nth_roots_of_unity_returns_a_fresh_list():
+    # the values are cached per (n, spec); a caller's list is its own
+    roots = nth_roots_of_unity(4, Z25)
+    roots.clear()
+    assert [r.value for r in nth_roots_of_unity(4, Z25)] == [1, 7, 18, 24]
+
+
 def test_lifted_factorization_cache_consistency():
     triples = lifted_factorization(11, Z9)
     assert [t[0] for t in triples] == [(0,), (1, 3, 4, 5, 9), (2, 6, 7, 8, 10)]
