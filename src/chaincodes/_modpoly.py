@@ -182,6 +182,23 @@ class PolyModulus:
         return pnorm(_unpack(result, self.degree, self.width), self.m)
 
 
+def poly_to_text(coeffs: list[int]) -> str:
+    """Descending-degree display: 'x^5 + 7x^4 + ... + 8', '0' for zero."""
+    if not coeffs:
+        return "0"
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            head = "" if c == 1 else str(c)
+            terms.append(f"{head}x" if i == 1 else f"{head}x^{i}")
+    return " + ".join(terms) if terms else "0"
+
+
 @dataclass(frozen=True)
 class RPoly:
     """Dense polynomial over Z_{p^e}, coefficients ascending and canonical."""
@@ -251,8 +268,6 @@ class RPoly:
         return RPoly._wrap(self.spec, pmonic(list(self.coeffs), self.spec.modulus))
 
     def __str__(self) -> str:
-        from .serialize import poly_to_text
-
         return poly_to_text(list(self.coeffs))
 
     @classmethod

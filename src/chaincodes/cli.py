@@ -21,6 +21,7 @@ from .constructions import (
     duadic_lift,
     duadic_pair,
     remark46_code,
+    result_to_json,
     thm42_isodual,
     thm44_isodual,
     thm510_isodual,
@@ -35,8 +36,6 @@ from .serialize import (
     code_from_json,
     code_to_json,
     poly_from_text,
-    poly_to_text,
-    result_to_json,
     ring_to_json,
 )
 
@@ -109,8 +108,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
         print(f"x^{args.n} - 1 over {spec}:")
         for coset, residue, lifted in triples:
             print(f"  coset {list(coset)}:")
-            print(f"    lifted : {poly_to_text(list(lifted.coeffs))}")
-            print(f"    residue: {poly_to_text(list(residue.coeffs))}")
+            print(f"    lifted : {lifted}")
+            print(f"    residue: {residue}")
     return EXIT_OK
 
 
@@ -171,9 +170,9 @@ def _print_result_text(result: ConstructionResult, reports: dict[str, dict] | No
     for entry in result.codes:
         code = entry.code
         if code.is_free():
-            desc = f"<{poly_to_text(list(code.free_generator().coeffs))}>"
+            desc = f"<{code.free_generator()}>"
         else:
-            desc = "family " + "; ".join(poly_to_text(list(f.coeffs)) for f in code.F)
+            desc = "family " + "; ".join(str(f) for f in code.F)
         claims = ", ".join(entry.claims) if entry.claims else "-"
         print(f"  {entry.label}: n={code.n} log_p|C|={code.cardinality_log()} {desc}")
         print(f"    claims: {claims}")

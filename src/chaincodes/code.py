@@ -12,21 +12,27 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import repeat
 from math import gcd, prod
-from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
-from ._modpoly import pgcd
+import numpy as np
+
 from .ring import MismatchedRing, RElem, RingSpec
 from .ringpoly import (
     RPoly,
+    _residue_images,
     _root_values,
     hensel_lift_factorization,
-    multiplier_mod,
     reciprocal,
     substitute_scaled,
 )
+
+_BLOCK = 1 << 16
+
+# Words turned into Codeword objects per step: few, so that the arrays and
+# nested lists they pass through stay small next to the objects themselves.
+_OBJECT_BLOCK = 1 << 10
 
 
 class NotADivisor(ValueError):
@@ -65,6 +71,40 @@ class Codeword(namedtuple("Codeword", "spec entries")):
     __ne__ = object.__ne__  # the inverse of __eq__, not tuple's field-by-field test
     __hash__ = tuple.__hash__
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace reduces too
+
+
+def _canonical_codewords(spec: RingSpec, block: np.ndarray) -> Iterator[Codeword]:
+    """The rows of an int64 block already reduced mod p^e as Codewords, built
+    in C: the entries are not reduced again and no Python code runs per word."""
+    return map(tuple.__new__, repeat(Codeword), zip(repeat(spec), zip(*block.T.tolist())))
+
+
+def _digit_block(start: int, count: int, radices: list[int]) -> np.ndarray:
+    """Mixed-radix digits of indices [start, start+count), one column per radix."""
+    idx = np.arange(start, start + count, dtype=np.int64)
+    digits = np.empty((count, len(radices)), dtype=np.int64)
+    for col, radix in enumerate(radices):
+        idx, digits[:, col] = np.divmod(idx, radix)
+    return digits
+
+
+def _check_numpy_safe(modulus: int, radices: list[int]) -> None:
+    """Each entry of digits @ rows is at most sum(radix - 1) * (modulus - 1);
+    refuse work where that sum could overflow int64."""
+    if sum(r - 1 for r in radices) * (modulus - 1) >= 2**63:
+        raise TooLarge("modulus too large for the vectorized enumeration engine")
+
+
+def codeword_blocks(code: CyclicCode, size: int = _BLOCK) -> Iterator[np.ndarray]:
+    """Every codeword once, in mixed-radix order over the generator rows, as
+    int64 arrays of at most `size` rows.  This is the one direct enumerator."""
+    rows = np.array(code.generator_matrix(), dtype=np.int64).reshape(-1, code.n)
+    radices = code.row_radices()
+    _check_numpy_safe(code.spec.modulus, radices)
+    total = code.spec.p ** code.cardinality_log()
+    for start in range(0, total, size):
+        digits = _digit_block(start, min(size, total - start), radices)
+        yield (digits @ rows) % code.spec.modulus
 
 
 def inner_product(v: Codeword, w: Codeword) -> int:
@@ -240,9 +280,6 @@ class CyclicCode:
     def codewords(self, limit: int = 2_000_000) -> Iterator[Codeword]:
         """Every codeword exactly once, in the mixed-radix order of the
         generator rows, converted one enumerator block at a time."""
-        # imported here because exhaustive imports code
-        from .exhaustive import _OBJECT_BLOCK, _canonical_codewords, codeword_blocks
-
         total = self.spec.p ** self.cardinality_log()
         if total > limit:
             raise TooLarge(f"|C| = {self.spec.p}^{self.cardinality_log()} exceeds {limit}")
@@ -344,26 +381,3 @@ def _search_maps(
             return IsodualCertificate(a=a, lam=alive[0])
     return None
 
-
-@lru_cache(maxsize=1024)
-def _residue_images(f: RPoly, a: int, n: int) -> Mapping[int, tuple[int, ...]]:
-    """The coefficients of the monic images phi_lam(mu_a(f)) of a monic
-    divisor f of x^n - 1 over F_p, keyed by every n-th root of unity lam of
-    F_p.  mu_a(f) is gcd(f(x^a) mod x^n - 1, x^n - 1), the factor whose
-    roots are the a-th roots of those of f; for a = n - 1 those are the
-    inverses of the roots of f, so mu_a(f) is the monic reciprocal of f."""
-    p, image = f.spec.p, f.coeffs
-    if a == n - 1:
-        image = reciprocal(f).coeffs
-    elif a != 1:
-        whole = RPoly.xn_minus_1(f.spec, n)
-        # the zero code's F_0 = x^n - 1 reduces to 0, whose image gcd is x^n - 1
-        image = multiplier_mod(f.divmod_monic(whole)[1], a, n)
-        image = tuple(pgcd(list(image.coeffs), list(whole.coeffs), p))
-    d, images = len(image) - 1, {}
-    for lam in _root_values(n, f.spec):
-        # phi_lam scales coefficient i by lam^i, and lam^-d makes it monic
-        # again: w steps from lam^(-d-1) to lam^(i-d) before coefficient i
-        w = pow(lam, -d - 1, p)
-        images[lam] = tuple([c * (w := w * lam % p) % p for c in image])
-    return MappingProxyType(images)

@@ -4,7 +4,8 @@ All constructions produce free codes of length 2^a * m generated by degree
 n/2 products of scaled factor images, or (for the duadic lifts of odd length)
 the free/two-stage code families attached to a splitting.  Emitted claims
 ("isodual", "self_dual", "dual_pair:<label>", "dual_equivalent_pair:<label>")
-are re-checkable through verify_result.
+are re-checkable through verify_result, and results travel as JSON through
+result_to_json and result_from_json.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .ringpoly import (
     primitive_root_of_unity,
     substitute_scaled,
 )
-from .serialize import ring_to_json, splitting_to_json
+from .serialize import SchemaError, code_from_json, code_to_json, ring_to_json, splitting_to_json
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,39 @@ class ConstructionResult:
 
     def labels(self) -> list[str]:
         return [entry.label for entry in self.codes]
+
+
+def result_to_json(result: ConstructionResult, reports: dict[str, dict] | None = None) -> dict:
+    codes = []
+    for entry in result.codes:
+        item: dict = {
+            "label": entry.label,
+            "code": code_to_json(entry.code),
+            "claims": list(entry.claims),
+        }
+        if reports is not None:
+            item["verified"] = reports.get(entry.label, {})
+        codes.append(item)
+    return {"kind": result.kind, "params": result.params, "codes": codes}
+
+
+def result_from_json(data: dict) -> ConstructionResult:
+    try:
+        codes = [
+            ConstructedCode(
+                str(item["label"]),
+                code_from_json(item["code"]),
+                tuple(str(c) for c in item.get("claims", ())),
+            )
+            for item in data["codes"]
+        ]
+        return ConstructionResult(
+            kind=str(data["kind"]), params=dict(data["params"]), codes=codes
+        )
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad construction result payload: {exc}") from exc
 
 
 def _check_odd_length(m: int, spec: RingSpec) -> None:

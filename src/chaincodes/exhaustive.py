@@ -30,33 +30,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .code import Codeword, CyclicCode, TooLarge, ZeroCode, _residue_images
+from .code import Codeword, CyclicCode, TooLarge, ZeroCode, codeword_blocks
+from .code import _BLOCK, _OBJECT_BLOCK, _canonical_codewords, _check_numpy_safe, _digit_block
 from .ring import RingSpec
-from .ringpoly import RPoly
+from .ringpoly import RPoly, _residue_images
 
 DEFAULT_BUDGET = 2_000_000
-
-_BLOCK = 1 << 16
 
 # Steps of at most this many words are summed word by word.  Neither table is
 # wider than the step, so their staircase would be one block (256^2 = _BLOCK).
 _SMALL_STEP = 1 << 8
-
-# Words turned into Codeword objects per step: few, so that the arrays and
-# nested lists they pass through stay small next to the objects themselves.
-_OBJECT_BLOCK = 1 << 10
-
-
-def _canonical_codewords(spec: RingSpec, block: np.ndarray) -> Iterator[Codeword]:
-    """The rows of an int64 block already reduced mod p^e as Codewords, built
-    in C: the entries are not reduced again and no Python code runs per word."""
-    return map(tuple.__new__, repeat(Codeword), zip(repeat(spec), zip(*block.T.tolist())))
 
 
 class BudgetExceeded(ValueError):
@@ -77,34 +66,6 @@ class WeightReport:
     weight: int
     strategy: str
     enumerated: int
-
-
-def _digit_block(start: int, count: int, radices: list[int]) -> np.ndarray:
-    """Mixed-radix digits of indices [start, start+count), one column per radix."""
-    idx = np.arange(start, start + count, dtype=np.int64)
-    digits = np.empty((count, len(radices)), dtype=np.int64)
-    for col, radix in enumerate(radices):
-        idx, digits[:, col] = np.divmod(idx, radix)
-    return digits
-
-
-def _check_numpy_safe(modulus: int, radices: list[int]) -> None:
-    """Each entry of digits @ rows is at most sum(radix - 1) * (modulus - 1);
-    refuse work where that sum could overflow int64."""
-    if sum(r - 1 for r in radices) * (modulus - 1) >= 2**63:
-        raise TooLarge("modulus too large for the vectorized enumeration engine")
-
-
-def codeword_blocks(code: CyclicCode, size: int = _BLOCK) -> Iterator[np.ndarray]:
-    """Every codeword once, in mixed-radix order over the generator rows, as
-    int64 arrays of at most `size` rows.  This is the one direct enumerator."""
-    rows = np.array(code.generator_matrix(), dtype=np.int64).reshape(-1, code.n)
-    radices = code.row_radices()
-    _check_numpy_safe(code.spec.modulus, radices)
-    total = code.spec.p ** code.cardinality_log()
-    for start in range(0, total, size):
-        digits = _digit_block(start, min(size, total - start), radices)
-        yield (digits @ rows) % code.spec.modulus
 
 
 def enumerate_matrix(code: CyclicCode, limit: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -384,6 +345,10 @@ def min_hamming_weight(
 # ---------------------------------------------------------------------------
 
 
+# Entries (rows x columns) of the larger half's digit table: 128 MB of int64.
+_HALF_ENTRIES = 1 << 24
+
+
 @lru_cache(maxsize=1)
 def _half_keys(code: CyclicCode) -> tuple[np.ndarray, ...]:
     """The meet-in-the-middle split over Z_{p^e}: a left and a right half
@@ -394,10 +359,11 @@ def _half_keys(code: CyclicCode) -> tuple[np.ndarray, ...]:
     m = code.spec.modulus
     rows = np.array(code.generator_matrix(), dtype=np.int64).reshape(-1, code.n)
     r = rows.shape[0]
-    if m**max(r, 1) >= 2**62:
-        raise TooLarge("annihilator oracle is limited to desk-scale instances")
     n_left = code.n // 2
     n_right = code.n - n_left
+    # the keys must fit in int64, and the larger half's digits in _HALF_ENTRIES
+    if m**max(r, 1) >= 2**62 or m**n_right * n_right > _HALF_ENTRIES:
+        raise TooLarge("annihilator oracle is limited to desk-scale instances")
     weights = m ** np.arange(r, dtype=np.int64)
 
     left = _digit_block(0, m**n_left, [m] * n_left)

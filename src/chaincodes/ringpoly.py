@@ -1,13 +1,15 @@
 """Polynomials over Z_{p^e}: exact arithmetic, monic reciprocals, coordinate
-substitutions, Hensel lifting of coprime factorizations of x^n - 1, and
-roots of unity in the unit group."""
+substitutions and their residue images over F_p, Hensel lifting of coprime
+factorizations of x^n - 1, and roots of unity in the unit group."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, prod
+from types import MappingProxyType
+from typing import Mapping
 
-from ._modpoly import RPoly, padd, pdivmod, pmul, pnorm, pscale, psub
+from ._modpoly import RPoly, padd, pdivmod, pgcd, pmul, pnorm, pscale, psub
 from .fieldpoly import _orbits, factor_xn_minus_1, prime_factors
 from .ring import MismatchedRing, NotAUnit, RElem, RingSpec
 
@@ -63,6 +65,30 @@ def multiplier_mod(f: RPoly, a: int, n: int) -> RPoly:
     for i, c in enumerate(f.coeffs):
         out[i * a % n] = (out[i * a % n] + c) % m
     return RPoly(f.spec, tuple(out))
+
+
+@lru_cache(maxsize=1024)
+def _residue_images(f: RPoly, a: int, n: int) -> Mapping[int, tuple[int, ...]]:
+    """The coefficients of the monic images phi_lam(mu_a(f)) of a monic
+    divisor f of x^n - 1 over F_p, keyed by every n-th root of unity lam of
+    F_p.  mu_a(f) is gcd(f(x^a) mod x^n - 1, x^n - 1), the factor whose
+    roots are the a-th roots of those of f; for a = n - 1 those are the
+    inverses of the roots of f, so mu_a(f) is the monic reciprocal of f."""
+    p, image = f.spec.p, f.coeffs
+    if a == n - 1:
+        image = reciprocal(f).coeffs
+    elif a != 1:
+        whole = RPoly.xn_minus_1(f.spec, n)
+        # the zero code's F_0 = x^n - 1 reduces to 0, whose image gcd is x^n - 1
+        image = multiplier_mod(f.divmod_monic(whole)[1], a, n)
+        image = tuple(pgcd(list(image.coeffs), list(whole.coeffs), p))
+    d, images = len(image) - 1, {}
+    for lam in _root_values(n, f.spec):
+        # phi_lam scales coefficient i by lam^i, and lam^-d makes it monic
+        # again: w steps from lam^(-d-1) to lam^(i-d) before coefficient i
+        w = pow(lam, -d - 1, p)
+        images[lam] = tuple([c * (w := w * lam % p) % p for c in image])
+    return MappingProxyType(images)
 
 
 def hensel_lift_factorization(

@@ -1,15 +1,15 @@
 """JSON schemas and the human-readable polynomial text format.
 
 Polynomials are serialized as ascending coefficient arrays and displayed as
-descending-degree text ("x^5 + 7x^4 + ... + 8"); coefficients are canonical
-representatives in [0, p^e).
+descending-degree text ("x^5 + 7x^4 + ... + 8", by _modpoly.poly_to_text);
+coefficients are canonical representatives in [0, p^e).
 """
 
 from __future__ import annotations
 
 import re
 
-from . import constructions  # the module, not its names: it imports this one
+from ._modpoly import poly_to_text  # the display RPoly.__str__ uses, beside its parser
 from .code import CyclicCode
 from .fieldpoly import Splitting
 from .ring import RingSpec
@@ -93,61 +93,11 @@ def code_from_json(data: dict) -> CyclicCode:
         raise SchemaError(f"bad cyclic code payload: {exc}") from exc
 
 
-def result_to_json(result: constructions.ConstructionResult, reports: dict[str, dict] | None = None) -> dict:
-    codes = []
-    for entry in result.codes:
-        item: dict = {
-            "label": entry.label,
-            "code": code_to_json(entry.code),
-            "claims": list(entry.claims),
-        }
-        if reports is not None:
-            item["verified"] = reports.get(entry.label, {})
-        codes.append(item)
-    return {"kind": result.kind, "params": result.params, "codes": codes}
-
-
-def result_from_json(data: dict) -> constructions.ConstructionResult:
-    try:
-        codes = [
-            constructions.ConstructedCode(
-                str(item["label"]),
-                code_from_json(item["code"]),
-                tuple(str(c) for c in item.get("claims", ())),
-            )
-            for item in data["codes"]
-        ]
-        return constructions.ConstructionResult(
-            kind=str(data["kind"]), params=dict(data["params"]), codes=codes
-        )
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad construction result payload: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Polynomial text format
 # ---------------------------------------------------------------------------
 
 _TERM = re.compile(r"^(\d+)?(x(?:\^(\d+))?)?$")
-
-
-def poly_to_text(coeffs: list[int]) -> str:
-    """Descending-degree display: 'x^5 + 7x^4 + ... + 8', '0' for zero."""
-    if not coeffs:
-        return "0"
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            head = "" if c == 1 else str(c)
-            terms.append(f"{head}x" if i == 1 else f"{head}x^{i}")
-    return " + ".join(terms) if terms else "0"
 
 
 def poly_from_text(text: str, modulus: int, max_degree: int | None = None) -> list[int]:

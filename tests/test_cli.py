@@ -478,3 +478,29 @@ def test_search_sweep_golden_digest(tmp_path):
     assert sum(row["verified"]["weight"] is None for row in rows) == 104
     digest = hashlib.sha256(data).hexdigest()
     assert digest == "bacf4bc7d8bef410469848ecd9ce877b005f337cd33fc3b3e6428b2b36b309e3"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("factor", "--p", "3", "--e", "2", "--n", "11"),
+         "ae37a7aebb86b4eaadf14f5a7293d5de38e95d370d6ff4fd58109f4521296ad8"),
+        (("construct", "duadic", "--p", "3", "--e", "2", "--m", "11", "--verify"),
+         "effbc307197a5ff2ad0b0d5f4e5d426fb721a8af953e76b738861d7393c9af52"),
+        (("construct", "thm510", "--p", "5", "--e", "2", "--m", "11", "--a", "1", "--verify"),
+         "8360b7a6e7030a07a10c43a6941a498687c445a49556a3d49b64804b25dcb7c6"),
+        (("weight", "CODE"), "506bdb02e9e2a4f152108c0ea527ef54aecb8f3f137981d06174f3a1adbbe687"),
+        (("weight", "CODE", "--strategy", "both"),
+         "8e96687a17c64f86e03c3a09d045b806833e076799ccfaf8d03b9220f3732948"),
+    ],
+)
+def test_text_output_golden_digest(tmp_path, capsys, argv, digest):
+    # the text (not --json) output byte for byte: factor's polynomials,
+    # construct's generators, families, certificates and "dual is" lines,
+    # and weight's summary line for the code <x^5 + 7x^4 + 8x^3 + x^2 + 6x + 8>
+    path = tmp_path / "code.json"
+    code = CyclicCode.from_generator(RPoly(Z9, (8, 6, 1, 8, 7, 1)), 11)
+    path.write_text(json.dumps(code_to_json(code)))
+    rc, out, _ = run(capsys, *(str(path) if arg == "CODE" else arg for arg in argv))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import pickle
+import time
 from collections import Counter
 from math import gcd, prod
 
@@ -553,6 +554,17 @@ def test_annihilator_vectors_refuse_at_call_time():
     assert iter(words) is words
     assert {w.entries for w in words} == {w.entries for w in code.dual().codewords()}
     assert count == 9 ** 2
+
+
+@pytest.mark.parametrize("code", [
+    CyclicCode.whole_space(RingSpec(3, 2), 16),  # halves of 9^8 rows, 2.75 GB of digits each
+    CyclicCode.zero(RingSpec(2, 2), 31),  # no generator rows, and a half of 4^16 rows
+])
+def test_annihilator_refuses_large_halves_before_building_them(code):
+    start = time.monotonic()
+    with pytest.raises(TooLarge):
+        annihilator_count(code)
+    assert time.monotonic() - start < 1
 
 
 def test_public_codeword_constructor_reduces_entries():

@@ -19,6 +19,7 @@ import sympy
 from chaincodes._modpoly import pdivmod
 from chaincodes.fieldpoly import (
     _orbits,
+    _trial_primes,
     _unit_group_primes,
     factor_xn_minus_1,
     find_irreducible,
@@ -73,6 +74,16 @@ def test_unit_group_primes_match_sympy():
     assert len(pairs) == 128
     for p, s in pairs:
         assert _unit_group_primes(p, s) == sympy.primefactors(p**s - 1), (p, s)
+
+
+def test_trial_primes_divides_out_each_prime():
+    # Phi_11(2) = 2047 = 23 x 89, both 1 mod 11; Phi_3(7) = 57 = 3 x 19, and 3 divides d
+    assert _trial_primes(2047, 11, 2, 11) == {23, 89}
+    assert _trial_primes(57, 3, 7, 3) == {3, 19}
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in range(1, 25):
+            value = int(sympy.cyclotomic_poly(d, p))
+            assert sorted(_trial_primes(value, d, p, d)) == sympy.primefactors(value), (p, d)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from chaincodes.code import CyclicCode
-from chaincodes.constructions import thm42_isodual, verify_result
+from chaincodes.constructions import result_from_json, result_to_json, thm42_isodual, verify_result
 from chaincodes.fieldpoly import find_splittings
 from chaincodes.ring import RingSpec
 from chaincodes.ringpoly import RPoly
@@ -13,8 +13,6 @@ from chaincodes.serialize import (
     code_to_json,
     poly_from_text,
     poly_to_text,
-    result_from_json,
-    result_to_json,
     ring_from_json,
     ring_to_json,
     rpoly_from_json,
