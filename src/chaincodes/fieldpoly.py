@@ -208,10 +208,17 @@ def _unit_group_primes(p: int, s: int) -> list[int]:
     return sorted(primes)
 
 
+# Ben-Or takes a gcd at each of the first _BEN_OR_SINGLE steps, where most
+# reducible candidates stop, then one per _BEN_OR_BATCH steps and one at the last
+_BEN_OR_SINGLE, _BEN_OR_BATCH = 6, 8
+
+
 def is_irreducible(poly: RPoly) -> bool:
     """Ben-Or irreducibility test for an RPoly over F_p = RingSpec(p, 1): a
     polynomial h of degree s is irreducible iff gcd(x^(p^i) - x, h) = 1 for
-    every i <= s/2, that is, iff it has no irreducible factor of degree <= s/2."""
+    every i <= s/2, that is, iff it has no irreducible factor of degree <= s/2.
+    After the first steps one gcd tests the product mod h of a batch of them:
+    an irreducible factor of h divides the product iff it divides a factor."""
     if poly.spec.e != 1:
         raise ValueError(f"irreducibility is tested over F_p, not {poly.spec}")
     p = poly.spec.p
@@ -221,11 +228,14 @@ def is_irreducible(poly: RPoly) -> bool:
         return False
     ring = PolyModulus(h, p)
     x = r = [0, 1]
-    for _ in range(s // 2):
-        # r = x^(p^i) mod h
-        r = ring.pow(r, p)
-        if pgcd(psub(r, x, p), h, p) != [1]:
-            return False
+    batch = None
+    for i in range(1, s // 2 + 1):
+        r = ring.pow(r, p)  # x^(p^i) mod h
+        batch = psub(r, x, p) if batch is None else ring.mul(batch, psub(r, x, p))
+        if i <= _BEN_OR_SINGLE or (i - _BEN_OR_SINGLE) % _BEN_OR_BATCH == 0 or i == s // 2:
+            if pgcd(batch, h, p) != [1]:
+                return False
+            batch = None
     return True
 
 
@@ -408,6 +418,19 @@ class Splitting:
         object.__setattr__(self, "given_by_mu_minus1", given)
         object.__setattr__(self, "invariant_under_mu_minus1", invariant)
 
+    @classmethod
+    def _searched(cls, m: int, q: int, s1: tuple, s2: tuple, a: int, given: bool) -> "Splitting":
+        """A splitting find_splittings has proven: no checks of __post_init__."""
+        splitting = object.__new__(cls)
+        vars(splitting).update(m=m, q=q, s1=s1, s2=s2, a=a, given_by_mu_minus1=given,
+                               invariant_under_mu_minus1=not given)
+        return splitting
+
+
+# find_splittings lists at most this many coset masks; (45, 19), the largest
+# case of the tests and the benchmark pools, lists 8,448
+MAX_SPLITTING_MASKS = 1 << 17
+
 
 def find_splittings(m: int, q: int) -> list[Splitting]:
     """All splittings modulo m for the q-cyclotomic cosets, canonically
@@ -419,9 +442,10 @@ def find_splittings(m: int, q: int) -> list[Splitting]:
     a*q induce the same permutation, so the search walks one witness per
     coset, its least member, in ascending order: each splitting keeps the
     least witness of the walk over every unit.  Sides are bitmasks over the
-    cosets, expanded once all of a witness's cycles are even; only distinct
-    ones become element tuples.  Returns [] when no splitting exists, in
-    particular when q is not a square mod m.
+    cosets, expanded once every witness's cycles are known unless there are
+    over MAX_SPLITTING_MASKS (ValueError); per-byte tables map each distinct
+    mask to its negation before any becomes element tuples.  Returns [] when
+    no splitting exists, in particular when q is not a square mod m.
     """
     if m % 2 == 0:
         raise ValueError(f"modulus must be odd, got {m}")
@@ -432,13 +456,13 @@ def find_splittings(m: int, q: int) -> list[Splitting]:
     cosets = [tuple(c) for c in _orbits(m, q) if c != [0]]
     index = {x: i for i, c in enumerate(cosets) for x in c}
     full = (1 << len(cosets)) - 1
-    found: dict[int, int] = {}
+    witnesses = []  # per witness a, per cycle the masks of its even and of its odd positions
     for a in (c[0] for c in cosets):  # ascending, as _orbits lists them
         if a == 1 or gcd(a, m) != 1:
             continue
         perm = [index[a * c[0] % m] for c in cosets]
         seen = [False] * len(cosets)
-        halves = []  # per cycle, the masks of its even and of its odd positions
+        halves = []
         for i in range(len(cosets)):
             if seen[i]:
                 continue
@@ -451,15 +475,30 @@ def find_splittings(m: int, q: int) -> list[Splitting]:
                 break
             halves.append(half)
         else:
-            masks = [0]
-            for half in halves:
-                masks = [x | h for x in masks for h in half]
-            for mask in masks:  # bit 0 is the coset of 1, which S_1 holds
-                found.setdefault(mask if mask & 1 else full ^ mask, a)
+            witnesses.append((a, halves))
+    if (count := sum(1 << len(halves) for _, halves in witnesses)) > MAX_SPLITTING_MASKS:
+        raise ValueError(f"the splitting search mod {m} for q = {q} would list {count} coset masks, "
+                         f"above the cap MAX_SPLITTING_MASKS = {MAX_SPLITTING_MASKS}")
+    found: dict[int, int] = {}
+    for a, halves in witnesses:
+        masks = [0]
+        for half in halves:
+            masks = [x | h for x in masks for h in half]
+        for mask in masks:  # bit 0 is the coset of 1, which S_1 holds
+            found.setdefault(mask if mask & 1 else full ^ mask, a)
+    tables = [[0] for _ in range(0, len(cosets), 8)]  # [g][b]: the image of the cosets 8g + j, j in b
+    for i, c in enumerate(cosets):
+        tables[i // 8] += [t | 1 << index[-c[0] % m] for t in tables[i // 8]]
+    given = {}
+    for mask in found:  # the bytes' images are disjoint, so a sum is their union
+        image = sum(table[mask >> 8 * g & 255] for g, table in enumerate(tables))
+        if image != mask and image != full ^ mask:
+            raise ValueError("negation neither swaps nor fixes the splitting")
+        given[mask] = image != mask
     sides = []
     for mask, a in found.items():
         s2_s1: tuple[list[int], list[int]] = ([], [])
         for i, c in enumerate(cosets):
             s2_s1[mask >> i & 1].extend(c)
-        sides.append((tuple(sorted(s2_s1[1])), tuple(sorted(s2_s1[0])), a))
-    return [Splitting(m, q, s1, s2, a) for s1, s2, a in sorted(sides)]
+        sides.append((tuple(sorted(s2_s1[1])), tuple(sorted(s2_s1[0])), a, given[mask]))
+    return [Splitting._searched(m, q, s1, s2, a, g) for s1, s2, a, g in sorted(sides)]

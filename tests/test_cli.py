@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,23 @@ def test_factor_with_an_unproven_unit_group_piece_exits_2(capsys):
     assert out == ""
     assert "(p, s) = (2, 178)" in err and str(2**89 - 1) in err
     assert time.perf_counter() - start < 30
+
+
+def test_duadic_with_too_many_splitting_masks_exits_2_at_once(capsys):
+    # 107 = 1 mod 53, so the 52 nonzero cosets are singletons; the witnesses' cycles give
+    # 67,125,344 masks, so the search refuses before it lists any
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "construct", "duadic", "--p", "107", "--e", "2", "--m", "53")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert out == ""
+    assert "would list 67125344 coset masks" in err
+    assert time.perf_counter() - start < 1
+    assert peak < 1 << 20, peak
 
 
 def test_factor_z4_n31(capsys):

@@ -1,12 +1,15 @@
 import tracemalloc
-from itertools import product
+from functools import lru_cache
+from itertools import compress, product
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from chaincodes._modpoly import pdivmod, pgcd
+from chaincodes import fieldpoly
+from chaincodes._modpoly import pdivmod, pgcd, psub
 from chaincodes.fieldpoly import (
+    MAX_SPLITTING_MASKS,
     Splitting,
     _ext_field,
     _unit_group_primes,
@@ -197,14 +200,84 @@ def test_splitting_invariants(m, q):
         assert 1 in sp.s1
 
 
-def first_irreducible_by_ben_or(p, s, start=0):
-    """The reference scan: every monic candidate of degree s from code `start`
-    on, in constant-first base-p encoding order, goes to Ben-Or's test, with
-    no sieve."""
+def monic_polys(p, s, start=0):
+    """Every monic polynomial of degree s over F_p from code `start` on, in
+    constant-first base-p encoding order."""
     for code in range(start, p**s):
-        cand = RPoly(RingSpec(p, 1), tuple(code // p**j % p for j in range(s)) + (1,))
-        if is_irreducible(cand):
-            return cand
+        yield RPoly(RingSpec(p, 1), tuple(code // p**j % p for j in range(s)) + (1,))
+
+
+def first_irreducible_by_ben_or(p, s, start=0, test=is_irreducible):
+    """The reference scan: every monic candidate of degree s from code `start`
+    on goes to Ben-Or's test, with no sieve."""
+    return next(cand for cand in monic_polys(p, s, start) if test(cand))
+
+
+def ben_or_per_step(poly):
+    """The reference Ben-Or test: one gcd(x^(p^i) - x, h) for each i <= s/2.
+    x^(p^i) mod h comes from r = x^(p^(i-1)) mod h by the Frobenius map of
+    F_p[x], r(x)^p = r(x^p), and one schoolbook division."""
+    p, h = poly.spec.p, list(poly.coeffs)
+    s = len(h) - 1
+    if s <= 0:
+        return False
+    r = [0, 1]
+    for _ in range(s // 2):
+        spread = [0] * (p * len(r))
+        spread[::p] = r
+        r = pdivmod(spread, h, p)[1]
+        if pgcd(psub(r, [0, 1], p), h, p) != [1]:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def per_step_verdicts(p, s):
+    """ben_or_per_step on every monic polynomial of degree s over F_p."""
+    return tuple(map(ben_or_per_step, monic_polys(p, s)))
+
+
+def test_batched_ben_or_matches_the_per_step_test():
+    for p, s in [(2, 6), (2, 7), (2, 8), (2, 9), (2, 10), (3, 6), (3, 7), (5, 6)]:
+        assert tuple(map(is_irreducible, monic_polys(p, s))) == per_step_verdicts(p, s), (p, s)
+
+
+@pytest.mark.parametrize("single, batch", [(1, 2), (0, 3)])
+def test_smaller_ben_or_batches_match_the_per_step_test(monkeypatch, single, batch):
+    # below degree 14 is_irreducible takes one gcd per step; rules this small
+    # batch the steps of these degrees too
+    monkeypatch.setattr(fieldpoly, "_BEN_OR_SINGLE", single)
+    monkeypatch.setattr(fieldpoly, "_BEN_OR_BATCH", batch)
+    for p, s in [(2, 6), (2, 7), (2, 8), (2, 9), (2, 10), (3, 6)]:
+        assert tuple(map(is_irreducible, monic_polys(p, s))) == per_step_verdicts(p, s), (p, s)
+
+
+def test_batched_ben_or_on_products_of_two_factors_of_degree_at_least_7():
+    # the smallest factor has degree 7 or more, so only a gcd after the first
+    # 6 steps finds it: for degrees 16 to 20, one over a batch of steps
+    irreducibles = {s: list(compress(monic_polys(2, s), per_step_verdicts(2, s))) for s in (7, 8, 9, 10)}
+    assert [len(irreducibles[s]) for s in (7, 8, 9, 10)] == [18, 30, 56, 99]
+    for f in irreducibles[7][:6] + irreducibles[8][:4]:
+        for g in [f] + irreducibles[7][-3:] + irreducibles[9][:3] + irreducibles[10][:3]:  # f * f too
+            assert not is_irreducible(f * g) and not ben_or_per_step(f * g), (f, g)
+
+
+# The fields (p, s) the factor op lists of the benchmark build at seeds 1 and
+# 7919, s = ord_n(p) per length n
+POOL_FIELDS = {
+    2: (2, 3, 6, 8, 9, 10, 11, 12, 14, 18, 20, 21, 58), 3: (4, 5, 6, 11), 5: (2, 4, 5, 6, 16), 7: (3, 4, 10),
+    11: (1, 2, 3, 4, 6, 7), 13: (1, 2, 3, 4, 9), 17: (2, 6, 10), 19: (1, 2, 6, 8, 10), 23: (1, 3, 4, 6, 9),
+    29: (2, 6), 31: (4, 5, 6, 9), 37: (2, 3, 4, 5, 7), 41: (2, 4, 5, 6, 7), 43: (2, 3, 4, 6),
+    47: (1, 2, 4, 5, 6, 7), 53: (2, 3, 4, 6, 7, 8), 59: (2, 5, 6), 61: (1, 2, 3, 6), 67: (1, 2, 3, 4),
+    71: (1, 2, 5), 73: (2, 3, 4), 79: (1, 2, 3), 83: (2, 4), 89: (2, 4), 97: (2, 3, 4, 5, 6), 101: (1, 2),
+}
+
+
+def test_find_irreducible_matches_the_per_step_scan_on_the_pool_fields():
+    fields = [(p, s) for p, degrees in POOL_FIELDS.items() for s in degrees]
+    assert len(fields) == 112
+    for p, s in fields:
+        assert find_irreducible(p, s) == first_irreducible_by_ben_or(p, s, test=ben_or_per_step), (p, s)
 
 
 def test_sieves_keep_the_first_irreducible():
@@ -309,6 +382,52 @@ def test_one_witness_per_coset_finds_what_every_unit_finds():
             raised += isinstance(expected, str)
             split += isinstance(expected, list) and bool(expected)
     assert (cases, raised, split) == (465, 11, 129)
+
+
+def test_searched_splittings_equal_the_checked_ones():
+    # find_splittings builds its results without the checks of __post_init__;
+    # the public constructor must accept each and give the same flags
+    cases = 0
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for m in range(1, 100, 2):
+            if gcd(m, q) != 1 or len(cyclotomic_cosets(m, q).cosets) > 15:
+                continue
+            cases += 1
+            try:
+                found = find_splittings(m, q)
+            except ValueError:
+                continue
+            for sp in found:
+                checked = Splitting(sp.m, sp.q, sp.s1, sp.s2, sp.a)
+                assert vars(sp) == vars(checked) and hash(sp) == hash(checked), (m, q)
+    assert cases == 465
+
+
+def test_negation_tables_span_several_bytes_of_cosets():
+    # 22 and 24 nonzero cosets: the negation images come from three bytes
+    for m, q in ((23, 47), (25, 101)):
+        assert len(cyclotomic_cosets(m, q).cosets) - 1 > 16
+        assert find_splittings(m, q) == splittings_over_every_unit(m, q)
+
+
+def test_known_defect_splittings_still_raise():
+    # the known-defect stratum of the benchmark's factor pool, as (n, p)
+    for m, q in ((35, 11), (51, 13), (15, 19), (45, 19), (51, 19), (75, 19)):
+        with pytest.raises(ValueError, match="^negation neither swaps nor fixes the splitting$"):
+            find_splittings(m, q)
+
+
+def test_splitting_search_refuses_too_many_masks_before_expanding_them():
+    # (51, 103): 33,571,456 masks from the cycle lengths alone
+    tracemalloc.start()
+    try:
+        cap = f"above the cap MAX_SPLITTING_MASKS = {MAX_SPLITTING_MASKS}"
+        with pytest.raises(ValueError, match=f"would list 33571456 coset masks, {cap}"):
+            find_splittings(51, 103)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_splitting_search_expands_no_masks_for_a_witness_with_an_odd_cycle():
