@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
@@ -47,8 +48,8 @@ EXIT_BUDGET = 4
 CONSTRUCTION_KINDS = ("thm42", "thm44", "remark46", "duadic", "thm510")
 
 # Caps on construct --m, search --m-max, the length 2^a * m of the kinds that
-# take --a, and p^e (the 64-bit range of RingSpec), checked before any work
-# starts; MAX_N = 2 * MAX_M accepts every a = 1 length
+# take --a, factor --n, and p^e (the 64-bit range of RingSpec), checked before
+# any work starts; MAX_N = 2 * MAX_M accepts every a = 1 length
 MAX_M = 1000
 MAX_N = 2 * MAX_M
 MAX_RING_SIZE = 2**63 - 1
@@ -87,6 +88,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
+    if args.n > MAX_N:
+        raise ValueError(f"n = {args.n} is above the cap MAX_N = {MAX_N}")
     spec = RingSpec(args.p, args.e)
     # factor_xn_minus_1 rejects n < 1 and p | n with a ValueError: exit 2
     triples = lifted_factorization(args.n, spec)
@@ -118,6 +121,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)  # one splitting search per (m, p) for all the jobs of a search
 def _pick_splitting(m: int, p: int, index: int):
     splittings = find_splittings(m, p)
     if not splittings:
@@ -288,9 +292,14 @@ def cmd_search(args: argparse.Namespace) -> int:
     records: dict[str, dict] = {}
     out_path = Path(args.out)
     if out_path.exists():
-        for line in out_path.read_text().splitlines():
+        for number, line in enumerate(out_path.read_text().splitlines(), 1):
             if line.strip():
                 row = json.loads(line)
+                # the key sorts the file, and the summary reads the verified claims
+                if not (isinstance(row, dict) and isinstance(row.get("key"), str)
+                        and isinstance(row.get("verified"), dict)
+                        and isinstance(row["verified"].get("claims"), dict)):
+                    raise SchemaError(f"{out_path} line {number} is not a search record")
                 records[row["key"]] = row
 
     for spec, m in _search_points(args):

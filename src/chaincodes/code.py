@@ -224,11 +224,9 @@ class CyclicCode:
         return self.F[0]
 
     def cofactor(self, i: int) -> RPoly:
-        """(x^n - 1) / F_i, the hat polynomial of family member i."""
-        whole = RPoly.xn_minus_1(self.spec, self.n)
-        quotient, remainder = whole.divmod_monic(self.F[i])
-        assert remainder.is_zero()
-        return quotient
+        """(x^n - 1) / F_i, the hat polynomial of family member i: the product
+        of the other members, since the family multiplies to x^n - 1."""
+        return prod((f for j, f in enumerate(self.F) if j != i), start=RPoly.one(self.spec))
 
     def cardinality_log(self) -> int:
         """log_p of the number of codewords."""

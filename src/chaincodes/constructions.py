@@ -1,11 +1,17 @@
 """Explicit isodual and self-dual cyclic code constructions over Z_{p^e}.
 
-All constructions produce free codes of length 2^a * m generated by degree
-n/2 products of scaled factor images, or (for the duadic lifts of odd length)
-the free/two-stage code families attached to a splitting.  Emitted claims
-("isodual", "self_dual", "dual_pair:<label>", "dual_equivalent_pair:<label>")
-are re-checkable through verify_result, and results travel as JSON through
-result_to_json and result_from_json.
+The length n = 2^a * m kinds thm42, thm44 and thm510 are lists of rows
+(label, sign, even piece, odd piece, claims) over x^m - 1 = (x - 1) g_1 g_2:
+a row generates the free code of (x^(2^(a-1)) + sign) times the monic images
+g(inv^k x), k = 1..2^a, of its even piece at even k and its odd piece at odd
+k.  The row with -sign and the other two pieces generates the cofactor in
+x^n - 1, and is always another code of the same result, so each family is
+(generator, partner's generator, 1, ..., 1) and no builder divides x^n - 1.
+remark46 is the pair (x^(n/2) - 1, x^(n/2) + 1), and the duadic lifts of odd
+length read their free and two-stage families off x - 1, g_1 and g_2.
+Emitted claims ("isodual", "self_dual", "dual_pair:<label>",
+"dual_equivalent_pair:<label>") are re-checkable through verify_result, and
+results travel as JSON through result_to_json and result_from_json.
 """
 
 from __future__ import annotations
@@ -106,79 +112,78 @@ def _doubling_step(
     return n, spec.inverse(alpha.value), params
 
 
-def _half_degree_code(
-    sign: int, parts: list[tuple[RPoly, int]], inv: int, n: int, spec: RingSpec
-) -> CyclicCode:
-    """The free code generated by (x^(n/2 - d) + sign) * prod monic g(inv^k x)
-    over the parts (g, k), d the sum of their degrees."""
-    degree = n // 2 - sum(g.degree for g, _ in parts)
-    gen = RPoly(spec, tuple([sign % spec.modulus] + [0] * (degree - 1) + [1]))
-    for g, k in parts:
+def _binomial(spec: RingSpec, degree: int, constant: int) -> RPoly:
+    """x^degree + constant, for degree >= 1."""
+    return RPoly(spec, (constant % spec.modulus,) + (0,) * (degree - 1) + (1,))
+
+
+def _free_code(spec: RingSpec, n: int, generator: RPoly, cofactor: RPoly) -> CyclicCode:
+    """The free code <generator>, whose cofactor in x^n - 1 the caller knows:
+    the family's product check stands in for dividing x^n - 1."""
+    return CyclicCode(spec, n, (generator, cofactor) + (RPoly.one(spec),) * (spec.e - 1))
+
+
+def _doubling_codes(
+    rows: list[tuple], g1: RPoly, g2: RPoly, a: int, inv: int, n: int, spec: RingSpec
+) -> list[ConstructedCode]:
+    """The free codes of the rows (label, sign, even, odd, claims), pieces 1
+    and 2 standing for g1 and g2.  prod_{k=1..2^a} monic ((x - 1) g1 g2)(inv^k x)
+    is x^n - 1, so the cofactor of a row's generator is the generator of the
+    row (-sign, 3 - even, 3 - odd), which is looked up, not divided out."""
+    halves = {(i, parity): RPoly.one(spec) for i in (1, 2) for parity in (0, 1)}  # prod over k
+    for k in range(1, 2**a + 1):
         scale = spec.element(pow(inv, k, spec.modulus))
-        gen = gen * substitute_scaled(g, scale, normalize_monic=True)
-    if gen.degree != n // 2:
-        raise AssertionError(f"generator degree {gen.degree} != n/2 = {n // 2}")
-    return CyclicCode.from_generator(gen, n)
+        for i, g in ((1, g1), (2, g2)):
+            halves[i, k % 2] = halves[i, k % 2] * substitute_scaled(g, scale, normalize_monic=True)
+    gens = {
+        (sign, even, odd): _binomial(spec, 2 ** (a - 1), sign) * halves[even, 0] * halves[odd, 1]
+        for _, sign, even, odd, _ in rows
+    }
+    codes = []
+    for label, sign, even, odd, claims in rows:
+        code = _free_code(spec, n, gens[sign, even, odd], gens[-sign, 3 - even, 3 - odd])
+        codes.append(ConstructedCode(label, code, claims))
+    return codes
+
+
+# the mixed-product rows C_ij (sign -1) and C'_ij (sign +1), i != j: g_i at
+# even k and g_j at odd k
+_MIXED_ROWS = [(f"{c}_{i}{j}", sign, i, j, ("isodual",)) for i, j in ((1, 2), (2, 1))
+               for c, sign in (("C", -1), ("C'", +1))]
 
 
 def thm42_isodual(m: int, a: int, spec: RingSpec) -> ConstructionResult:
-    """Two isodual free codes of length 2^a * m: the all-ones cofactor of
+    """Two isodual free codes of length 2^a * m: the all-ones cofactor f of
     x^m - 1 is substituted at the odd (resp. even) powers of a primitive
-    2^a-th root of unity and multiplied by x^(2^(a-1)) -/+ 1."""
+    2^a-th root of unity and multiplied by x^(2^(a-1)) -/+ 1.  They are the
+    mixed rows C_21 and C'_12 of (g1, g2) = (f, 1)."""
     n, inv, params = _doubling_step(m, a, spec)
     f = RPoly(spec, (1,) * m)  # (x^m - 1)/(x - 1)
-    half = 2 ** (a - 1)
-    odd = _half_degree_code(-1, [(f, 2 * k + 1) for k in range(half)], inv, n, spec)
-    even = _half_degree_code(+1, [(f, 2 * k) for k in range(1, half + 1)], inv, n, spec)
-    return ConstructionResult(
-        kind="thm42",
-        params=params,
-        codes=[
-            ConstructedCode("G_1", odd, ("isodual",)),
-            ConstructedCode("G_2", even, ("isodual",)),
-        ],
-    )
+    rows = [("G_1", -1, 2, 1, ("isodual",)), ("G_2", +1, 1, 2, ("isodual",))]
+    codes = _doubling_codes(rows, f, RPoly.one(spec), a, inv, n, spec)
+    return ConstructionResult(kind="thm42", params=params, codes=codes)
 
 
-def _mixed_pair_codes(
-    g1: RPoly, g2: RPoly, a: int, inv: int, spec: RingSpec, n: int
-) -> list[ConstructedCode]:
-    """The four mixed-product codes C_ij / C'_ij (i != j); inv is the inverse
-    of the primitive 2^a-th root of unity."""
-    half = 2 ** (a - 1)
-    out = []
-    for i, j, gi, gj in ((1, 2, g1, g2), (2, 1, g2, g1)):
-        parts = [(gi, 2 * k) for k in range(1, half + 1)] + [(gj, 2 * k + 1) for k in range(half)]
-        for label, sign in ((f"C_{i}{j}", -1), (f"C'_{i}{j}", +1)):
-            code = _half_degree_code(sign, parts, inv, n, spec)
-            out.append(ConstructedCode(label, code, ("isodual",)))
-    return out
-
-
-def thm44_isodual(
-    m: int, a: int, spec: RingSpec, g1: RPoly, g2: RPoly
-) -> ConstructionResult:
+def thm44_isodual(m: int, a: int, spec: RingSpec, g1: RPoly, g2: RPoly) -> ConstructionResult:
     """Four isodual free codes of length 2^a * m built from a factorization
     x^m - 1 = (x - 1) * g1 * g2 with nonconstant monic g1, g2."""
 
     def check_factors() -> None:
         if g1.degree < 1 or g2.degree < 1:
             raise ValueError("g1 and g2 must be nonconstant")
-        x_minus_1 = RPoly(spec, (spec.modulus - 1, 1))
-        if x_minus_1 * g1 * g2 != RPoly.xn_minus_1(spec, m):
+        if _binomial(spec, 1, -1) * g1 * g2 != RPoly.xn_minus_1(spec, m):
             raise ValueError("(x - 1) * g1 * g2 is not x^m - 1")
 
     n, inv, params = _doubling_step(m, a, spec, check_factors)
     params.update(g1=list(g1.coeffs), g2=list(g2.coeffs))
-    return ConstructionResult(
-        kind="thm44", params=params, codes=_mixed_pair_codes(g1, g2, a, inv, spec, n)
-    )
+    codes = _doubling_codes(_MIXED_ROWS, g1, g2, a, inv, n, spec)
+    return ConstructionResult(kind="thm44", params=params, codes=codes)
 
 
 def remark46_code(m: int, a: int, spec: RingSpec) -> CyclicCode:
     """The isodual free code generated by x^(n/2) - 1, n = 2^a * m."""
-    n, inv, _ = _doubling_step(m, a, spec)
-    return _half_degree_code(-1, [], inv, n, spec)
+    n, _, _ = _doubling_step(m, a, spec)
+    return _free_code(spec, n, _binomial(spec, n // 2, -1), _binomial(spec, n // 2, +1))
 
 
 def duadic_pair(m: int, spec: RingSpec, splitting: Splitting) -> tuple[RPoly, RPoly]:
@@ -191,8 +196,7 @@ def duadic_pair(m: int, spec: RingSpec, splitting: Splitting) -> tuple[RPoly, RP
             f"wanted mod {m} for q = {spec.p}"
         )
     s1, s2 = set(splitting.s1), set(splitting.s2)
-    g1 = RPoly.one(spec)
-    g2 = RPoly.one(spec)
+    g1 = g2 = RPoly.one(spec)
     for coset, _, lifted in lifted_factorization(m, spec):
         members = set(coset)
         if members == {0}:
@@ -207,60 +211,48 @@ def duadic_pair(m: int, spec: RingSpec, splitting: Splitting) -> tuple[RPoly, RP
 
 
 def duadic_lift(m: int, spec: RingSpec, splitting: Splitting) -> ConstructionResult:
-    """The free codes D'_i = <g_i>, C'_i = <(x-1) g_i> and, for even e, the
-    two-stage codes E_i = <(x-1) g_i, p^(e/2) g_1 g_2> attached to a
-    splitting.  The E_i are claimed self-dual when negation swaps the two
-    sides of the splitting, and a mutually-dual isodual pair otherwise."""
+    """The free codes D'_i = <g_i> and C'_i = <(x-1) g_i> and, for even e,
+    the two-stage codes E_i = <(x-1) g_i, p^(e/2) g_1 g_2> attached to a
+    splitting, each family read off x - 1, g_1 and g_2: D'_i is
+    (g_i, (x-1) g_j, 1, ...), C'_i is ((x-1) g_i, g_j, 1, ...) and E_i is
+    (g_i, g_j, 1, ..., x - 1 at index e/2 + 1, ...).  The E_i are claimed
+    self-dual when negation swaps the two sides of the splitting, and a
+    mutually-dual isodual pair otherwise."""
     g1, g2 = duadic_pair(m, spec, splitting)
-    x_minus_1 = RPoly(spec, (spec.modulus - 1, 1))
-    notes: list[str] = []
+    x_minus_1 = _binomial(spec, 1, -1)
+    c1, c2 = x_minus_1 * g1, x_minus_1 * g2
     codes = [
-        ConstructedCode("D'_1", CyclicCode.from_generator(g1, m), ()),
-        ConstructedCode("D'_2", CyclicCode.from_generator(g2, m), ()),
-        ConstructedCode("C'_1", CyclicCode.from_generator(x_minus_1 * g1, m), ()),
-        ConstructedCode("C'_2", CyclicCode.from_generator(x_minus_1 * g2, m), ()),
+        ConstructedCode("D'_1", _free_code(spec, m, g1, c2), ()),
+        ConstructedCode("D'_2", _free_code(spec, m, g2, c1), ()),
+        ConstructedCode("C'_1", _free_code(spec, m, c1, g2), ()),
+        ConstructedCode("C'_2", _free_code(spec, m, c2, g1), ()),
     ]
     if spec.e % 2 == 0:
-        stage = spec.e // 2
-        e1 = CyclicCode.from_two_stage(x_minus_1 * g1, g1, stage, m)
-        e2 = CyclicCode.from_two_stage(x_minus_1 * g2, g2, stage, m)
-        if splitting.given_by_mu_minus1:
-            codes.append(ConstructedCode("E_1", e1, ("self_dual",)))
-            codes.append(ConstructedCode("E_2", e2, ("self_dual",)))
-        else:
-            codes.append(ConstructedCode("E_1", e1, ("isodual", "dual_pair:E_2")))
-            codes.append(ConstructedCode("E_2", e2, ("isodual", "dual_pair:E_1")))
-    else:
-        notes.append("two-stage codes omitted: nilpotency index is odd")
-    params = {
-        "ring": ring_to_json(spec),
-        "m": m,
-        "n": m,
-        "splitting": splitting_to_json(splitting),
-        "notes": notes,
-    }
+        torsion = [RPoly.one(spec)] * (spec.e - 1)  # F_2, ..., F_e
+        torsion[spec.e // 2 - 1] = x_minus_1
+        given = splitting.given_by_mu_minus1
+        for i, gi, gj in ((1, g1, g2), (2, g2, g1)):
+            claims = ("self_dual",) if given else ("isodual", f"dual_pair:E_{3 - i}")
+            codes.append(ConstructedCode(f"E_{i}", CyclicCode(spec, m, (gi, gj, *torsion)), claims))
+    params = {"ring": ring_to_json(spec), "m": m, "n": m, "splitting": splitting_to_json(splitting)}
+    params["notes"] = ["two-stage codes omitted: nilpotency index is odd"] if spec.e % 2 else []
     return ConstructionResult(kind="duadic", params=params, codes=codes)
 
 
-def thm510_isodual(
-    m: int, a: int, spec: RingSpec, splitting: Splitting
-) -> ConstructionResult:
+def thm510_isodual(m: int, a: int, spec: RingSpec, splitting: Splitting) -> ConstructionResult:
     """Length 2^a * m codes from a duadic pair: the four mixed-product codes
-    (always isodual), plus the pure-product codes which are isodual when the
+    (always isodual), plus the pure-product codes C_i (sign -1) and C'_i
+    (sign +1) with g_i at every power of inv, which are isodual when the
     splitting is given by negation and otherwise form dual-equivalent pairs."""
     g1, g2 = duadic_pair(m, spec, splitting)
     n, inv, params = _doubling_step(m, a, spec)
     params["splitting"] = splitting_to_json(splitting)
-    codes = _mixed_pair_codes(g1, g2, a, inv, spec, n)
-    for i, j, gi in ((1, 2, g1), (2, 1, g2)):
-        parts = [(gi, k) for k in range(1, 2**a + 1)]
-        for label, partner, sign in (("C", "C'", -1), ("C'", "C", +1)):
-            if splitting.given_by_mu_minus1:
-                claims = ("isodual",)
-            else:
-                claims = (f"dual_equivalent_pair:{partner}_{j}",)
-            code = _half_degree_code(sign, parts, inv, n, spec)
-            codes.append(ConstructedCode(f"{label}_{i}", code, claims))
+    given, rows = splitting.given_by_mu_minus1, list(_MIXED_ROWS)
+    for i in (1, 2):
+        for c, partner, sign in (("C", "C'", -1), ("C'", "C", +1)):
+            pair = (f"dual_equivalent_pair:{partner}_{3 - i}",)
+            rows.append((f"{c}_{i}", sign, i, i, ("isodual",) if given else pair))
+    codes = _doubling_codes(rows, g1, g2, a, inv, n, spec)
     return ConstructionResult(kind="thm510", params=params, codes=codes)
 
 
@@ -332,16 +324,16 @@ def verify_result(result: ConstructionResult, budget: int = DEFAULT_BUDGET) -> d
                 break
         else:
             report["dual_is"] = entry.label if code_dual == code else None
-        if not code.is_zero_code():
+        if code.is_zero_code():
+            pass  # the zero code has no minimum weight
+        elif budget <= 0:  # a zero budget asks for no weight at all
+            report.update(weight=None, weight_status="budget_exceeded")
+        else:
             try:
-                if budget <= 0:  # a zero budget asks for no weight at all
-                    raise BudgetExceeded(f"budget {budget} enumerates no word")
                 weight = min_hamming_weight(code, budget=budget, strategy="auto")
-                report["weight"] = weight.weight
-                report["weight_strategy"] = weight.strategy
+                report.update(weight=weight.weight, weight_strategy=weight.strategy)
             except BudgetExceeded:
-                report["weight"] = None
-                report["weight_status"] = "budget_exceeded"
+                report.update(weight=None, weight_status="budget_exceeded")
         reports[entry.label] = report
     return reports
 

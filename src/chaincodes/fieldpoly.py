@@ -401,7 +401,6 @@ class Splitting:
     s2: tuple[int, ...]
     a: int
     given_by_mu_minus1: bool = field(init=False)
-    invariant_under_mu_minus1: bool = field(init=False)
 
     def __post_init__(self) -> None:
         s1, s2 = frozenset(self.s1), frozenset(self.s2)
@@ -412,18 +411,19 @@ class Splitting:
         ) != s1:
             raise ValueError(f"multiplier {self.a} does not swap S_1 and S_2")
         neg = frozenset(-x % self.m for x in s1)
-        given, invariant = neg == s2, neg == s1
-        if given == invariant:
+        if (neg == s2) == (neg == s1):
             raise ValueError("negation neither swaps nor fixes the splitting")
-        object.__setattr__(self, "given_by_mu_minus1", given)
-        object.__setattr__(self, "invariant_under_mu_minus1", invariant)
+        object.__setattr__(self, "given_by_mu_minus1", neg == s2)
+
+    @property
+    def invariant_under_mu_minus1(self) -> bool:
+        return not self.given_by_mu_minus1
 
     @classmethod
     def _searched(cls, m: int, q: int, s1: tuple, s2: tuple, a: int, given: bool) -> "Splitting":
         """A splitting find_splittings has proven: no checks of __post_init__."""
         splitting = object.__new__(cls)
-        vars(splitting).update(m=m, q=q, s1=s1, s2=s2, a=a, given_by_mu_minus1=given,
-                               invariant_under_mu_minus1=not given)
+        vars(splitting).update(m=m, q=q, s1=s1, s2=s2, a=a, given_by_mu_minus1=given)
         return splitting
 
 

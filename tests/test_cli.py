@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -326,6 +327,45 @@ def test_construct_verify_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "verification failed" in err
 
 
+@pytest.mark.parametrize("bad", [
+    '{"label": "G_1"}', "[1]", '{"key": [1]}', '{"key": "k"}', '{"key": "k", "verified": {}}',
+])
+def test_search_rejects_an_out_file_line_that_is_not_a_record(tmp_path, capsys, bad):
+    # a line that is not an object, or a record without a string "key" or
+    # the verified claims the summary reads, is invalid input: exit 2 naming
+    # the line, and the file is left as it was
+    out_file = tmp_path / "records.jsonl"
+    args = ["search", "--p", "3", "--e", "2", "--m-max", "3", "--out", str(out_file)]
+    rc, _, _ = run(capsys, *args)
+    assert rc == 0
+    text = out_file.read_text() + bad + "\n"
+    out_file.write_text(text)
+    line = len(text.splitlines())
+    rc, _, err = run(capsys, *args)
+    assert rc == 2
+    assert f"line {line} " in err
+    assert out_file.read_text() == text
+
+
+def test_search_lists_the_splittings_of_each_m_and_p_once(tmp_path, capsys, monkeypatch):
+    # thm44, thm510 and duadic share one pick per (m, p) over every e; an
+    # empty listing (no splitting mod m) is an error, which is not cached
+    import chaincodes.cli as cli_mod
+
+    listed = []
+    real = cli_mod.find_splittings
+    monkeypatch.setattr(cli_mod, "find_splittings", lambda m, q: listed.append((m, q)) or real(m, q))
+    cli_mod._pick_splitting.cache_clear()
+    rc, _, _ = run(capsys, "search", "--p", "13", "--e", "1,2,3", "--m-max", "17", "--a", "1",
+                   "--budget", "0", "--out", str(tmp_path / "records.jsonl"))
+    cli_mod._pick_splitting.cache_clear()
+    assert rc == 0
+    split = {(m, q) for m, q in listed if real(m, q)}
+    assert split == {(3, 13), (9, 13), (17, 13)}
+    assert {pair: count for pair, count in Counter(listed).items() if pair in split} == {
+        pair: 1 for pair in split}
+
+
 def test_search_empty_range(tmp_path, capsys):
     out_file = tmp_path / "empty.jsonl"
     rc, _, _ = run(capsys, "search", "--p", "3", "--e", "2", "--m-max", "0",
@@ -431,6 +471,15 @@ def test_factor_high_order_length_is_bounded(p, n):
     assert elapsed < 10
     doc = json.loads(proc.stdout)
     assert sum(len(f["lifted"]) - 1 for f in doc["factors"]) == n
+
+
+@pytest.mark.parametrize("p, n", [(2, 4099), (3, 100003), (3, MAX_N + 1)])
+def test_factor_refuses_a_length_above_max_n(p, n):
+    # 4099 and 100003 ran past 20 s with no output
+    proc, elapsed = _run_bounded(10, "factor", "--p", str(p), "--e", "1", "--n", str(n))
+    assert proc.returncode == 2
+    assert "cap MAX_N" in proc.stderr
+    assert elapsed < 10
 
 
 def test_factor_with_a_unit_group_prime_above_2_63_is_bounded():

@@ -1,6 +1,10 @@
+from math import gcd
+
 import pytest
 
-from chaincodes.code import Codeword
+from chaincodes import _modpoly, fieldpoly, ringpoly
+from chaincodes.cli import CONSTRUCTION_KINDS, build_construction
+from chaincodes.code import Codeword, CyclicCode
 from chaincodes.constructions import (
     all_claims_hold,
     duadic_lift,
@@ -293,3 +297,99 @@ def test_verify_reports_weights():
     assert reports["G_1"]["weight"] == 4
     assert reports["G_2"]["weight"] == 4
     assert reports["G_1"]["claims"]["isodual"]
+
+
+def _generator_route(kind, result, spec, m, a):
+    """Every code of a result rebuilt as the builders once built it: the
+    generator multiplied out of its factors, then x^n - 1 divided by it in
+    from_generator (from_two_stage for E_i)."""
+    n, one = result.params["n"], RPoly.one(spec)
+    x_minus_1 = RPoly(spec, (spec.modulus - 1, 1))
+    if kind == "remark46":
+        return {"G": CyclicCode.from_generator(RPoly.xn_minus_1(spec, n // 2), n)}
+    if kind == "thm42":
+        g = {1: RPoly(spec, (1,) * m), 2: one}
+    else:
+        g = dict(enumerate(duadic_pair(m, spec, find_splittings(m, spec.p)[0]), 1))
+    if kind == "duadic":
+        out = {}
+        for i in (1, 2):
+            out[f"D'_{i}"] = CyclicCode.from_generator(g[i], m)
+            out[f"C'_{i}"] = CyclicCode.from_generator(x_minus_1 * g[i], m)
+            if spec.e % 2 == 0:
+                out[f"E_{i}"] = CyclicCode.from_two_stage(x_minus_1 * g[i], g[i], spec.e // 2, m)
+        return out
+    inv = pow(result.params["alpha"], -1, spec.modulus)
+
+    def free(sign, even, odd):
+        # (x^(n/2 - d) + sign) * prod monic P_k(inv^k x), d the degree of the product
+        parts = [(even if k % 2 == 0 else odd, k) for k in range(1, 2**a + 1)]
+        degree = n // 2 - sum(piece.degree for piece, _ in parts)
+        gen = RPoly(spec, (sign % spec.modulus,) + (0,) * (degree - 1) + (1,))
+        for piece, k in parts:
+            scale = spec.element(pow(inv, k, spec.modulus))
+            gen = gen * substitute_scaled(piece, scale, normalize_monic=True)
+        assert gen.degree == n // 2
+        return CyclicCode.from_generator(gen, n)
+
+    if kind == "thm42":
+        return {"G_1": free(-1, one, g[1]), "G_2": free(+1, g[1], one)}
+    out = {}
+    for entry in result.codes:  # C_ij, C'_ij, and thm510's C_i, C'_i
+        digits = entry.label.split("_")[1]
+        sign = +1 if "'" in entry.label else -1
+        out[entry.label] = free(sign, g[int(digits[0])], g[int(digits[-1])])
+    return out
+
+
+def test_every_family_equals_the_generator_route():
+    # the families are read off the builders' own factors, each with its
+    # partner as cofactor; the generator route divides x^n - 1 instead
+    checked = {kind: 0 for kind in CONSTRUCTION_KINDS}
+    for p in (3, 5, 13, 17):
+        for e in (1, 2, 3):
+            spec = RingSpec(p, e)
+            for m in range(1, 26, 2):
+                if gcd(m, p) != 1:
+                    continue
+                jobs = [("duadic", 1)]
+                jobs += [(kind, a) for a in (1, 2) if (p - 1) % 2**a == 0
+                         for kind in ("thm42", "remark46", "thm44", "thm510")]
+                for kind, a in jobs:
+                    try:
+                        result = build_construction(kind, spec, m, a)
+                    except (ValueError, ArithmeticError):
+                        continue  # no splitting mod m, or negation mixes it
+                    reference = _generator_route(kind, result, spec, m, a)
+                    assert {entry.label: entry.code for entry in result.codes} == reference, (
+                        kind, p, e, m, a)
+                    checked[kind] += len(reference)
+    assert checked == {"thm42": 462, "thm44": 228, "remark46": 231, "duadic": 154, "thm510": 456}
+
+
+def _is_binomial_minus_1(coeffs, degrees, spec):
+    """Whether a coefficient list is x^k - 1, for a degree k in `degrees`,
+    over Z_{p^e} or over F_p."""
+    return (len(coeffs) - 1 in degrees and coeffs[-1] == 1 and not any(coeffs[1:-1])
+            and coeffs[0] in (spec.p - 1, spec.modulus - 1))
+
+
+@pytest.mark.parametrize("kind", CONSTRUCTION_KINDS)
+@pytest.mark.parametrize("a", [1, 2])
+def test_no_builder_divides_x_n_minus_1(monkeypatch, kind, a):
+    spec, m = RingSpec(13, 2), 17
+    n = m if kind == "duadic" else 2**a * m
+    dividends = []
+    real = _modpoly.pdivmod
+
+    def counting(dividend, divisor, modulus):
+        dividends.append(list(dividend))
+        return real(dividend, divisor, modulus)
+
+    # RPoly.divmod_monic runs _modpoly's pdivmod; the others import it by name
+    for module in (_modpoly, fieldpoly, ringpoly):
+        monkeypatch.setattr(module, "pdivmod", counting)
+    ringpoly.lifted_factorization.cache_clear()
+    result = build_construction(kind, spec, m, a)
+    assert result.codes
+    assert not [d for d in dividends if _is_binomial_minus_1(d, {m, n}, spec)]

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 from functools import lru_cache
 from itertools import compress, product
 from math import gcd
@@ -170,6 +171,14 @@ def test_splittings_m11_q3():
     assert sp.a == 2
     assert sp.given_by_mu_minus1
     assert not sp.invariant_under_mu_minus1
+
+
+def test_the_invariant_flag_is_derived_from_the_stored_one():
+    sp = find_splittings(13, 3)[0]
+    assert [f.name for f in fields(sp)] == ["m", "q", "s1", "s2", "a", "given_by_mu_minus1"]
+    assert sp.invariant_under_mu_minus1 is not sp.given_by_mu_minus1
+    with pytest.raises(AttributeError):
+        sp.invariant_under_mu_minus1 = sp.given_by_mu_minus1
 
 
 def test_splittings_m11_q5():

@@ -49,3 +49,10 @@ def test_imports_point_down_the_layers():
             if target not in LAYERS or LAYERS.index(target) >= LAYERS.index(name):
                 faults.append(f"{where}, which is not below {name}")
     assert not faults, "\n".join(faults)
+
+
+def test_the_facade_exports_each_name_once_in_order():
+    names = chaincodes.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(chaincodes, name) for name in names)
+    assert len(names) == 51
