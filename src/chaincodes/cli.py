@@ -29,13 +29,12 @@ from .constructions import (
     verify_result,
 )
 from .exhaustive import DEFAULT_BUDGET, BudgetExceeded, min_hamming_weight
-from .fieldpoly import find_splittings
+from .fieldpoly import Splitting, find_splittings
 from .ring import RingSpec
 from .ringpoly import RPoly, lifted_factorization
 from .serialize import (
     SchemaError,
     code_from_json,
-    code_to_json,
     poly_from_text,
     ring_to_json,
 )
@@ -121,13 +120,17 @@ def cmd_factor(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)  # one splitting search per (m, p) for all the jobs of a search
-def _pick_splitting(m: int, p: int, index: int):
-    splittings = find_splittings(m, p)
+@lru_cache(maxsize=None)  # one splitting search per (m, p) for all the jobs of a search, failed or not
+def _pick_splitting(m: int, p: int, index: int) -> Splitting | str:
+    """The splitting, or the message of the error that refuses it."""
+    try:
+        splittings = find_splittings(m, p)
+    except ValueError as exc:
+        return str(exc)
     if not splittings:
-        raise ValueError(f"no splitting exists mod {m} for q = {p}")
+        return f"no splitting exists mod {m} for q = {p}"
     if not 0 <= index < len(splittings):
-        raise ValueError(f"splitting index {index} out of range (found {len(splittings)})")
+        return f"splitting index {index} out of range (found {len(splittings)})"
     return splittings[index]
 
 
@@ -140,6 +143,12 @@ def build_construction(
     g1_text: str | None = None,
     g2_text: str | None = None,
 ) -> ConstructionResult:
+    def splitting() -> Splitting:
+        picked = _pick_splitting(m, spec.p, splitting_index)
+        if isinstance(picked, str):
+            raise ValueError(picked)
+        return picked
+
     if kind == "thm42":
         return thm42_isodual(m, a, spec)
     if kind == "remark46":
@@ -158,12 +167,12 @@ def build_construction(
             g1 = RPoly(spec, tuple(poly_from_text(g1_text, spec.modulus, max_degree=m - 1)))
             g2 = RPoly(spec, tuple(poly_from_text(g2_text, spec.modulus, max_degree=m - 1)))
         else:
-            g1, g2 = duadic_pair(m, spec, _pick_splitting(m, spec.p, splitting_index))
+            g1, g2 = duadic_pair(m, spec, splitting())
         return thm44_isodual(m, a, spec, g1, g2)
     if kind == "duadic":
-        return duadic_lift(m, spec, _pick_splitting(m, spec.p, splitting_index))
+        return duadic_lift(m, spec, splitting())
     if kind == "thm510":
-        return thm510_isodual(m, a, spec, _pick_splitting(m, spec.p, splitting_index))
+        return thm510_isodual(m, a, spec, splitting())
     raise ValueError(f"unknown construction kind {kind!r}")
 
 
@@ -270,23 +279,6 @@ def _search_points(args: argparse.Namespace):
                 yield spec, m
 
 
-def _record(spec: RingSpec, m: int, a, kind: str, entry: ConstructedCode, report: dict) -> dict:
-    key = f"p{spec.p}e{spec.e}|m{m}|a{a if a is not None else '-'}|{kind}|{entry.label}"
-    return {
-        "key": key,
-        "p": spec.p,
-        "e": spec.e,
-        "m": m,
-        "a": a,
-        "n": entry.code.n,
-        "kind": kind,
-        "label": entry.label,
-        "code": code_to_json(entry.code),
-        "claims": list(entry.claims),
-        "verified": report,
-    }
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     _check_caps(args.m_max, [(p, e) for p in args.p for e in args.e], max(args.a, default=None))
     records: dict[str, dict] = {}
@@ -322,9 +314,10 @@ def cmd_search(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 continue
-            for entry in result.codes:
-                row = _record(spec, m, a, kind, entry, reports[entry.label])
-                records[row["key"]] = row
+            for item in result_to_json(result, reports)["codes"]:
+                key = f"p{spec.p}e{spec.e}|m{m}|a{a if a is not None else '-'}|{kind}|{item['label']}"
+                records[key] = {**item, "key": key, "p": spec.p, "e": spec.e, "m": m, "a": a,
+                                "n": item["code"]["n"], "kind": kind}
 
     lines = [_dump_row(records[key]) for key in sorted(records)]
     out_path.write_text("\n".join(lines) + ("\n" if lines else ""))

@@ -2,10 +2,13 @@
 factorization of x^n - 1, cyclotomic cosets, quadratic-residue tests and
 duadic splittings.
 
-Factorization of x^n - 1 is done by computing the minimal polynomial of each
-cyclotomic coset from a primitive n-th root of unity in F_{p^s}, where
+The factor of x^n - 1 for the cyclotomic coset of i is the minimal
+polynomial of z^i, for a primitive n-th root of unity z in F_{p^s}, where
 s is the multiplicative order of p mod n.  This keeps the factor <-> coset
-correspondence explicit, which the rest of the library relies on.
+correspondence explicit, which the rest of the library relies on.  Only
+integers leave F_{p^s}: the constant coordinates of the powers of z, from
+which Berlekamp-Massey reads each factor off as the shortest recurrence of
+a sequence of 2|coset| of them.
 
 Every step is deterministic: F_{p^s} is built on the first irreducible in
 encoding order (Ben-Or's test, behind sieves for candidates with a root in
@@ -13,7 +16,8 @@ F_p and for binomials), and the root of unity comes from its smallest
 multiplicative generator.  The group order p^s - 1 is factored as the
 product of the cyclotomic values Phi_d(p), d | s; a candidate is tested
 through its norm for the primes of p - 1 and a product tree of powers for
-the others.  Duadic splittings are searched on bitmasks over the cosets.
+the others.  Quadratic residues follow Euler's criterion at each prime of
+the modulus.  Duadic splittings are searched on bitmasks over the cosets.
 """
 
 from __future__ import annotations
@@ -67,26 +71,25 @@ class CosetPartition:
     cosets: tuple[tuple[int, ...], ...]
 
 
-def cyclotomic_cosets(m: int, q: int) -> CosetPartition:
+def _check_modulus(m: int, q: int) -> None:
+    """The modulus of cosets, residues and splittings: odd and prime to q."""
     if m % 2 == 0:
         raise ValueError(f"modulus must be odd, got {m}")
     if gcd(m, q) != 1:
         raise ValueError(f"gcd({m}, {q}) != 1")
+
+
+def cyclotomic_cosets(m: int, q: int) -> CosetPartition:
+    _check_modulus(m, q)
     return CosetPartition(m, q, tuple(tuple(c) for c in _orbits(m, q)))
 
 
-@lru_cache(maxsize=None)
-def _squares_mod(n: int) -> frozenset[int]:
-    return frozenset(y * y % n for y in range(n))
-
-
 def is_quadratic_residue(q: int, n: int) -> bool:
-    """True iff q is a square modulo n (membership in the squares of Z_n)."""
-    if n % 2 == 0:
-        raise ValueError(f"modulus must be odd, got {n}")
-    if gcd(q, n) != 1:
-        raise ValueError(f"gcd({q}, {n}) != 1")
-    return q % n in _squares_mod(n)
+    """True iff q is a square modulo n.  For odd n and q prime to n, that
+    holds iff q is a square mod each prime r of n (Hensel's lemma and the
+    Chinese remainder theorem), that is, iff q^((r-1)/2) = 1 mod r (Euler)."""
+    _check_modulus(n, q)
+    return all(pow(q, (r - 1) // 2, r) == 1 for r in prime_factors(n))
 
 
 # ---------------------------------------------------------------------------
@@ -323,27 +326,24 @@ class _ExtField(PolyModulus):
         raise AssertionError("no generator found")
 
 
-def _minimal_polynomial(powers: list[list[int]], s: int, p: int) -> list[int]:
-    """Monic minimal polynomial over F_p of an element a of F_{p^s}, given
-    the coordinates of 1, a, ..., a^d where d is the degree of a: row
-    reduction finds the linear dependency that a^d closes."""
-    d = len(powers) - 1
-    rows: list[tuple[int, list[int]]] = []
-    for k, power in enumerate(powers):
-        # the coordinates of a combination of powers, then its coefficients
-        row = power + [0] * (s - len(power)) + [int(j == k) for j in range(d + 1)]
-        for pivot, basis in rows:
-            c = row[pivot]
-            if c:
-                row = [(x - c * y) % p for x, y in zip(row, basis)]
-        pivot = next((j for j in range(s) if row[j]), None)
-        if pivot is None:
-            if k != d:
-                raise AssertionError(f"degree {k} differs from the coset size {d}")
-            return row[s:]
-        inv = pow(row[pivot], -1, p)
-        rows.append((pivot, [x * inv % p for x in row]))
-    raise AssertionError(f"no dependency among the first {d + 1} powers")
+def _minimal_polynomial(seq: list[int], p: int) -> list[int]:
+    """Monic polynomial of the shortest linear recurrence over F_p that
+    generates seq, ascending, by Berlekamp-Massey (Massey, IEEE TIT 15(1),
+    1969): a recurrence of length L that the sequence has is found from
+    its first 2L terms."""
+    c, b = [1], [1]  # connection polynomials now and before the last length change
+    length, gap, last = 0, 1, 1
+    for k in range(len(seq)):
+        d = sum(x * y for x, y in zip(c, seq[k::-1])) % p
+        if d:
+            shifted = [0] * gap + [d * pow(last, -1, p) * y for y in b]
+            new = [(x - y) % p for x, y in itertools.zip_longest(c, shifted, fillvalue=0)]
+            if 2 * length <= k:
+                length, b, last, gap = k + 1 - length, c, d, 0
+            c = new
+        gap += 1
+    c += [0] * (length + 1 - len(c))
+    return c[length::-1]
 
 
 @lru_cache(maxsize=None)
@@ -359,8 +359,10 @@ def factor_xn_minus_1(n: int, p: int) -> tuple[RPoly, ...]:
 
     The factor for coset Cl(i) is the minimal polynomial of z^i, where z is
     the fixed primitive n-th root of unity g**((p^s - 1)/n) for the smallest
-    multiplicative generator g of F_{p^s}.  It is read off the first linear
-    dependency among the powers of z^i, which are all powers of z.
+    multiplicative generator g of F_{p^s}.  With c_k the constant coordinate
+    of z^k, the terms c_(ik mod n) satisfy every recurrence whose polynomial
+    has the root z^i, and the minimal polynomial of z^i is irreducible and
+    c_0 = 1, so it is their shortest recurrence, read off 2|Cl(i)| terms.
     """
     field = RingSpec(p, 1)  # raises ValueError unless p is prime
     if n < 1:
@@ -369,16 +371,18 @@ def factor_xn_minus_1(n: int, p: int) -> tuple[RPoly, ...]:
         raise ValueError(f"p = {p} divides n = {n}")
     if n == 1:
         return (RPoly(field, (p - 1, 1)),)
-    s = ord_mod(n, p)
-    ext = _ext_field(p, s)
+    ext = _ext_field(p, ord_mod(n, p))
     zeta = ext.pow(ext.generator(), ext.order // n)
-    powers = [[1]]
+    constants, power = [1], [1]  # c_k, the constant coordinate of z^k, for k < n
     for _ in range(n - 1):
-        powers.append(ext.mul(powers[-1], zeta))
+        power = ext.mul(power, zeta)
+        constants.append(power[0])
     factors = []
     for coset in _orbits(n, p):
         i = coset[0]
-        coeffs = _minimal_polynomial([powers[i * k % n] for k in range(len(coset) + 1)], s, p)
+        coeffs = _minimal_polynomial([constants[i * k % n] for k in range(2 * len(coset))], p)
+        if len(coeffs) != len(coset) + 1:
+            raise AssertionError(f"degree {len(coeffs) - 1} differs from the coset size {len(coset)}")
         factors.append(RPoly(field, tuple(coeffs)))
     return tuple(factors)
 
@@ -406,6 +410,8 @@ class Splitting:
         s1, s2 = frozenset(self.s1), frozenset(self.s2)
         if s1 & s2 or (s1 | s2) != set(range(1, self.m)):
             raise ValueError("S_1, S_2 must partition the nonzero residues")
+        if any(not {self.q * x % self.m for x in side} <= side for side in (s1, s2)):
+            raise ValueError(f"S_1, S_2 must be unions of {self.q}-cyclotomic cosets mod {self.m}")
         if frozenset(self.a * x % self.m for x in s1) != s2 or frozenset(
             self.a * x % self.m for x in s2
         ) != s1:
@@ -447,10 +453,7 @@ def find_splittings(m: int, q: int) -> list[Splitting]:
     mask to its negation before any becomes element tuples.  Returns [] when
     no splitting exists, in particular when q is not a square mod m.
     """
-    if m % 2 == 0:
-        raise ValueError(f"modulus must be odd, got {m}")
-    if gcd(m, q) != 1:
-        raise ValueError(f"gcd({m}, {q}) != 1")
+    _check_modulus(m, q)
     if m == 1:
         return []
     cosets = [tuple(c) for c in _orbits(m, q) if c != [0]]

@@ -172,21 +172,22 @@ def primitive_root_of_unity(order: int, spec: RingSpec) -> RElem:
 
 
 def nth_roots_of_unity(n: int, spec: RingSpec) -> list[RElem]:
-    """All units lam with lam**n = 1, ascending.
+    """All units lam with lam**n = 1, ascending, for n prime to p (ValueError
+    otherwise).
 
-    When gcd(n, p) = 1 the roots form a cyclic group of order
-    g = gcd(n, p - 1): for odd p they are the powers of the Teichmueller
-    lift of an element of order g in F_p, and for p = 2 only 1 is left.
-    Other n fall back to a scan of all p^e residues."""
+    The roots form a cyclic group of order g = gcd(n, p - 1): for odd p
+    they are the powers of the Teichmueller lift of an element of order g
+    in F_p, and for p = 2 only 1 is left."""
     return [spec.element(u) for u in _root_values(n, spec)]
 
 
 @lru_cache(maxsize=1024)
 def _root_values(n: int, spec: RingSpec) -> tuple[int, ...]:
-    """The values of nth_roots_of_unity(n, spec), found once per (n, spec)."""
+    """The values of nth_roots_of_unity(n, spec), found once per (n, spec);
+    ValueError when p divides n, as for every code and factorization."""
     p, m = spec.p, spec.modulus
-    if gcd(n, p) != 1:
-        return tuple(u for u in range(1, m) if u % p != 0 and pow(u, n, m) == 1)
+    if n % p == 0:
+        raise ValueError(f"p = {p} divides n = {n}")
     g = gcd(n, p - 1)
     checks = [g // q for q in prime_factors(g)]
     for c in range(1, p):

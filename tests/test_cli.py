@@ -265,6 +265,24 @@ def test_weight_rejects_a_family_that_does_not_multiply_to_x_n_minus_1(tmp_path,
     assert "family product is not x^n - 1" in err
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda doc: doc.update(n=0), "length must be positive, got 0"),
+    (lambda doc: doc.update(n=3), "p = 3 divides the length 3"),
+    (lambda doc: doc["F"].pop(), "family must have 3 entries, got 2"),
+    (lambda doc: doc["F"][2].update(ring={"p": 5, "e": 2}), "Z_25 vs Z_9"),
+    (lambda doc: doc["F"][0].update(coeffs=[8, 2]), "family member 2x + 8 is not monic"),
+], ids=["empty_length", "p_divides_length", "family_size", "foreign_ring", "non_monic"])
+def test_weight_rejects_each_malformed_family(tmp_path, capsys, corrupt, message):
+    # the checks every code passes before its product, on a code read from a file
+    doc = code_to_json(CyclicCode.from_generator(RPoly(Z9, (8, 1)), 2))
+    corrupt(doc)
+    path = tmp_path / "bad_family.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "weight", str(path))
+    assert rc == 2
+    assert f"error: bad cyclic code payload: {message}" in err
+
+
 def test_weight_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\"ring\": {\"p\": 3}}")
@@ -348,22 +366,22 @@ def test_search_rejects_an_out_file_line_that_is_not_a_record(tmp_path, capsys, 
 
 
 def test_search_lists_the_splittings_of_each_m_and_p_once(tmp_path, capsys, monkeypatch):
-    # thm44, thm510 and duadic share one pick per (m, p) over every e; an
-    # empty listing (no splitting mod m) is an error, which is not cached
+    # thm44, thm510 and duadic share one pick per (m, p) over every e, and a
+    # pair with no splitting mod m keeps its error message for the next job
     import chaincodes.cli as cli_mod
 
     listed = []
     real = cli_mod.find_splittings
     monkeypatch.setattr(cli_mod, "find_splittings", lambda m, q: listed.append((m, q)) or real(m, q))
     cli_mod._pick_splitting.cache_clear()
-    rc, _, _ = run(capsys, "search", "--p", "13", "--e", "1,2,3", "--m-max", "17", "--a", "1",
-                   "--budget", "0", "--out", str(tmp_path / "records.jsonl"))
+    rc, _, err = run(capsys, "search", "--p", "13", "--e", "1,2,3", "--m-max", "17", "--a", "1",
+                     "--budget", "0", "--out", str(tmp_path / "records.jsonl"))
     cli_mod._pick_splitting.cache_clear()
     assert rc == 0
-    split = {(m, q) for m, q in listed if real(m, q)}
-    assert split == {(3, 13), (9, 13), (17, 13)}
-    assert {pair: count for pair, count in Counter(listed).items() if pair in split} == {
-        pair: 1 for pair in split}
+    assert {(m, q) for m, q in listed if real(m, q)} == {(3, 13), (9, 13), (17, 13)}
+    assert Counter(listed) == {(m, 13): 1 for m in (1, 3, 5, 7, 9, 11, 15, 17)}
+    # each of the 3 kinds at each of the 3 e still reports the refusal
+    assert err.count("no splitting exists mod 5 for q = 13\n") == 9
 
 
 def test_search_empty_range(tmp_path, capsys):

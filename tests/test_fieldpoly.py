@@ -1,7 +1,8 @@
+import time
 import tracemalloc
 from dataclasses import fields
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress, count, product
 from math import gcd
 
 import pytest
@@ -13,6 +14,8 @@ from chaincodes.fieldpoly import (
     MAX_SPLITTING_MASKS,
     Splitting,
     _ext_field,
+    _minimal_polynomial,
+    _orbits,
     _unit_group_primes,
     cyclotomic_cosets,
     factor_xn_minus_1,
@@ -21,6 +24,7 @@ from chaincodes.fieldpoly import (
     is_irreducible,
     is_quadratic_residue,
     ord_mod,
+    prime_factors,
 )
 from chaincodes.ring import RingSpec
 from chaincodes.ringpoly import RPoly
@@ -107,6 +111,20 @@ def test_quadratic_residue_euler_criterion():
             assert is_quadratic_residue(q, n) == (pow(q, (n - 1) // 2, n) == 1)
 
 
+def test_quadratic_residue_keeps_no_table_of_squares():
+    # 3,000,001 = 853 * 3517: the set of its squares took 1.2 s and 80 MB
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert not is_quadratic_residue(2, 3_000_001)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1, elapsed
+    assert peak < 1 << 20, peak
+
+
 def test_irreducibility():
     assert is_irreducible(RPoly(F2, (1, 1, 1)))  # x^2 + x + 1
     assert not is_irreducible(RPoly(F2, (1, 0, 1)))  # (x + 1)^2
@@ -143,8 +161,6 @@ def test_factor_errors():
 
 @pytest.mark.parametrize("n,p", [(1, 3), (2, 3), (11, 3), (10, 3), (31, 2), (11, 5), (8, 3), (13, 3)])
 def test_factor_invariants(n, p):
-    from chaincodes.fieldpoly import _orbits
-
     factors = factor_xn_minus_1(n, p)
     orbits = _orbits(n, p)
     assert len(factors) == len(orbits)
@@ -160,6 +176,74 @@ def test_factor_invariants(n, p):
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             assert pgcd(list(factors[i].coeffs), list(factors[j].coeffs), p) == [1]
+
+
+def minimal_polynomial_by_row_reduction(powers, s, p):
+    """The reference: the minimal polynomial over F_p of an element a of
+    F_{p^s}, given the coordinates of 1, a, ..., a^d where d is the degree
+    of a, as factor_xn_minus_1 found it when it row-reduced them to the
+    linear dependency that a^d closes."""
+    d = len(powers) - 1
+    rows = []
+    for k, power in enumerate(powers):
+        # the coordinates of a combination of powers, then its coefficients
+        row = power + [0] * (s - len(power)) + [int(j == k) for j in range(d + 1)]
+        for pivot, basis in rows:
+            c = row[pivot]
+            if c:
+                row = [(x - c * y) % p for x, y in zip(row, basis)]
+        pivot = next((j for j in range(s) if row[j]), None)
+        if pivot is None:
+            assert k == d, f"degree {k} differs from the coset size {d}"
+            return row[s:]
+        inv = pow(row[pivot], -1, p)
+        rows.append((pivot, [x * inv % p for x in row]))
+    raise AssertionError(f"no dependency among the first {d + 1} powers")
+
+
+def test_berlekamp_massey_matches_the_row_reduction_on_every_coset():
+    # p^s - 1 has a piece that is neither split by rho nor proven prime for
+    # these lengths, so they have no root of unity to test on
+    unfactored = {(83, 7), (89, 7), (83, 13), (89, 13)}
+    cases = 0
+    for p in (2, 3, 5, 7, 13):
+        for n in range(1, 100):
+            if n % p == 0 or (n, p) in unfactored:
+                continue
+            s = ord_mod(n, p)
+            ext = _ext_field(p, s)
+            # any primitive n-th root will do, and one is found without the
+            # prime factors of p^s - 1 that ext.generator needs
+            for code in count(1):
+                zeta = ext.pow(ext.element(code), ext.order // n)
+                if all(ext.pow(zeta, n // r) != [1] for r in prime_factors(n)):
+                    break
+            powers = [[1]]
+            for _ in range(n - 1):
+                powers.append(ext.mul(powers[-1], zeta))
+            for coset in _orbits(n, p):
+                i = coset[0]
+                expected = minimal_polynomial_by_row_reduction(
+                    [powers[i * k % n] for k in range(len(coset) + 1)], s, p)
+                constants = [powers[i * k % n][0] for k in range(2 * len(coset))]
+                assert _minimal_polynomial(constants, p) == expected, (n, p, coset)
+                cases += 1
+    assert cases == 2869
+
+
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_berlekamp_massey_finds_the_shortest_recurrence(p, data):
+    seq = data.draw(st.lists(st.integers(0, p - 1), max_size=6))
+    poly = _minimal_polynomial(seq, p)
+
+    def generates(f):
+        length = len(f) - 1
+        return all(sum(c * seq[k - length + j] for j, c in enumerate(f)) % p == 0
+                   for k in range(length, len(seq)))
+
+    assert poly[-1] == 1 and generates(poly)
+    shorter = ([*low, 1] for length in range(len(poly) - 1) for low in product(range(p), repeat=length))
+    assert not any(map(generates, shorter))
 
 
 def test_splittings_m11_q3():
@@ -456,3 +540,6 @@ def test_splitting_validation():
         Splitting(11, 3, (1, 2, 3, 4, 5), (6, 7, 8, 9, 10), 2)  # not coset-union swap
     with pytest.raises(ValueError):
         Splitting(11, 3, (1, 3, 4, 5, 9), (2, 6, 7, 8), 2)  # not a partition
+    # negation swaps the sides, but 2 * 3 = 6: they are not unions of 2-cyclotomic cosets
+    with pytest.raises(ValueError, match="must be unions of 2-cyclotomic cosets mod 7"):
+        Splitting(7, 2, (1, 2, 3), (4, 5, 6), 6)

@@ -353,6 +353,10 @@ def test_hensel_errors():
         hensel_lift_factorization([RPoly(F3, (1, 1))], 2, Z9)
     with pytest.raises(LiftError):
         hensel_lift_factorization(list(factor_xn_minus_1(2, 3)), 3, Z9)
+    with pytest.raises(LiftError, match="all factors must be monic"):
+        hensel_lift_factorization([RPoly(F3, (2, 1)), RPoly(F3, (2, 2))], 2, Z9)
+    with pytest.raises(LiftError, match="factor characteristic does not match the ring"):
+        hensel_lift_factorization(list(factor_xn_minus_1(2, 5)), 2, Z9)
 
 
 def test_primitive_root_examples():
@@ -386,6 +390,9 @@ def test_nth_roots_examples():
     assert [r.value for r in nth_roots_of_unity(10, Z9)] == [1, 8]
     assert [r.value for r in nth_roots_of_unity(1, Z9)] == [1]
     assert [r.value for r in nth_roots_of_unity(4, Z25)] == [1, 7, 18, 24]
+    # p | n is refused at once, as by every code; a scan of the 2^24 residues took 2 s
+    with pytest.raises(ValueError, match="p = 2 divides n = 2"):
+        nth_roots_of_unity(2, RingSpec(2, 24))
 
 
 def test_nth_roots_of_unity_returns_a_fresh_list():

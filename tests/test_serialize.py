@@ -47,6 +47,9 @@ def test_splitting_round_trip():
     data["mu_minus1"] = "fixes"
     with pytest.raises(SchemaError):
         splitting_from_json(data)
+    # negation swaps these sides, but they are not unions of 2-cyclotomic cosets mod 7
+    with pytest.raises(SchemaError, match="must be unions of 2-cyclotomic cosets mod 7"):
+        splitting_from_json({"m": 7, "q": 2, "s1": [1, 2, 3], "s2": [4, 5, 6], "a": 6})
 
 
 def test_code_round_trip():
